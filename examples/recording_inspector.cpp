@@ -9,19 +9,17 @@
 //   --lint          additionally run the static verifier and print its
 //                   findings (exit code 1 if the recording has errors)
 //   --dump          additionally print every log entry
-//   --dataflow      lift the recording to the dataflow IR (src/analysis/
-//                   dataflow) and print node/def-use statistics plus the
-//                   first stretch of the IR itself
 //   --diff <other>  parse <other> as a serialized (unsigned) recording body
-//                   — typically a grt_opt output — and summarize op-count
-//                   deltas against the freshly recorded original
+//                   — e.g. one written by an earlier --save — and
+//                   summarize op-count deltas against the freshly
+//                   recorded original
 //   --plan          compile the recording into a ReplayPlan (src/record/
 //                   plan) and print what the lowering produced: op counts,
 //                   the coalesced initial-image region table, mid-replay
 //                   metastate reapplications, the tensor patch table, and
 //                   the pages folded or dropped at compile time
 //   --save <file>   write this recording's unsigned body to <file> (the
-//                   input format grt_lint and grt_opt consume)
+//                   input format grt_lint consumes)
 //   --metrics       enable the observability layer for the whole run
 //                   (record + a cold and a warm replay) and print the
 //                   metrics registry: shim commit/speculation/poll
@@ -44,7 +42,6 @@
 #include <fstream>
 #include <map>
 
-#include "src/analysis/dataflow/ir.h"
 #include "src/analysis/footprint/footprint.h"
 #include "src/analysis/planopt/planopt.h"
 #include "src/analysis/verifier.h"
@@ -145,22 +142,6 @@ int DiffAgainst(const Recording& original, const char* other_path) {
   table.AddRow({"total", std::to_string(original.log.size()),
                 std::to_string(other->log.size()), total_delta});
   table.Print();
-
-  const OptimizationProvenance& p = other->header.provenance;
-  if (p.optimized) {
-    std::map<std::string, size_t> by_pass;
-    for (const OptRecord& r : p.records) {
-      ++by_pass[r.pass];
-    }
-    std::printf("\n%s claims optimization: %zu justification record(s) "
-                "over %u original entries\n",
-                other_path, p.records.size(), p.original_entries);
-    for (const auto& [pass, n] : by_pass) {
-      std::printf("  %-22s %5zu\n", pass.c_str(), n);
-    }
-  } else {
-    std::printf("\n%s carries no optimization provenance\n", other_path);
-  }
   return 0;
 }
 
@@ -249,7 +230,7 @@ int InspectPlan(const Recording& rec, bool fused, bool json) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool lint = false, dump = false, dataflow = false, show_plan = false;
+  bool lint = false, dump = false, show_plan = false;
   bool metrics = false, footprint = false, json = false, fused = false;
   const char* diff_path = nullptr;
   const char* save_path = nullptr;
@@ -258,8 +239,6 @@ int main(int argc, char** argv) {
       lint = true;
     } else if (std::strcmp(argv[i], "--dump") == 0) {
       dump = true;
-    } else if (std::strcmp(argv[i], "--dataflow") == 0) {
-      dataflow = true;
     } else if (std::strcmp(argv[i], "--plan") == 0) {
       show_plan = true;
     } else if (std::strcmp(argv[i], "--metrics") == 0) {
@@ -277,7 +256,7 @@ int main(int argc, char** argv) {
       save_path = argv[++i];
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--lint] [--dump] [--dataflow] [--plan] "
+                   "usage: %s [--lint] [--dump] [--plan] "
                    "[--fused] [--metrics] [--footprint [--json]] "
                    "[--diff <other>] [--save <file>]\n",
                    argv[0]);
@@ -378,12 +357,6 @@ int main(int argc, char** argv) {
   }
   if (dump) {
     DumpLog(rec->log);
-  }
-  if (dataflow) {
-    DataflowIr ir = LiftRecording(*rec);
-    std::printf("\n--- dataflow IR ---\n%s\n",
-                ComputeIrStats(ir).ToString().c_str());
-    std::printf("%s", DumpIr(ir, 60).c_str());
   }
   if (show_plan) {
     int rc = InspectPlan(*rec, fused, json);

@@ -19,7 +19,11 @@
 #      flood tenant can inflate an unthrottled trickle tenant's p95 past
 #      3x its solo baseline or shed any of its requests, or if
 #      same-digest batching misses its 1.2x goodput gate / perturbs a
-#      single output byte
+#      single output byte; perfbench/selftest.py builds the serving
+#      benchmark (BENCHMARK.json) from this checkout and fails if a short
+#      run of any workload is incorrect, misses a metric or its unit,
+#      repeats a virtual time inexactly across seeds, or loses its traced
+#      structure
 #   3. ASan+UBSan build (-DGRT_SANITIZE=address,undefined) + full ctest,
 #      which includes the footprint soundness sweep
 #      (footprint_soundness_test: static footprint ⊇ observed writes on
@@ -89,6 +93,8 @@ echo "=== pass 2/5: multi-tenant fairness + batching smoke gate ==="
 FAIRNESS_JSON="$(mktemp)"
 trap 'rm -f "${SMOKE_JSON}" "${KERNEL_JSON}" "${FRONTEND_JSON}" "${FAIRNESS_JSON}"' EXIT
 build-ci/bench/serving_frontend --fairness-gate --out "${FAIRNESS_JSON}"
+echo "=== pass 2/5: serving benchmark self-test ==="
+python3 perfbench/selftest.py
 
 run_pass "pass 3/5 (asan+ubsan)" build-ci-san \
   -DGRT_SANITIZE=address,undefined

@@ -64,7 +64,7 @@ const char* InterferenceName(Interference v);
 ResourceFootprint ComputeFootprint(const Recording& rec, const GpuSku* sku);
 
 // Resolves the header's SKU and stamps header.footprint in place. Called
-// by every recording producer (shim finish, recorder finish, optimizer).
+// by every recording producer (shim finish, recorder finish).
 void StampFootprint(Recording* rec);
 
 // Pairwise verdict; symmetric in its arguments.

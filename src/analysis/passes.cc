@@ -604,74 +604,6 @@ void SkuCompatPass::Run(const AnalysisInput& in,
   }
 }
 
-// ------------------------------------------------- optimizer-provenance
-
-// An optimized recording without its justification trace is unauditable:
-// the TEE could not tell a provably-safe elimination from a tampered log.
-// Conversely, a trace on a header that does not claim optimization means
-// the flag was stripped (or the trace forged). Either way the recording
-// is rejected before replay.
-void OptimizerProvenancePass::Run(const AnalysisInput& in,
-                                  AnalysisReport* report) const {
-  const OptimizationProvenance& p = in.recording->header.provenance;
-  if (!p.optimized) {
-    if (!p.records.empty()) {
-      Error(report, kWholeRecording,
-            Fmt("header does not claim optimization but carries %zu "
-                "justification record(s)",
-                p.records.size()));
-    }
-    if (p.original_entries != 0) {
-      Error(report, kWholeRecording,
-            Fmt("header does not claim optimization but reports %u "
-                "pre-optimization entries",
-                p.original_entries));
-    }
-    return;
-  }
-  if (p.records.empty()) {
-    Error(report, kWholeRecording,
-          "header claims optimization but carries no justification trace");
-  }
-  const size_t log_size = in.recording->log.size();
-  if (p.original_entries < log_size) {
-    Error(report, kWholeRecording,
-          Fmt("claims %u pre-optimization entries but the log holds %zu — "
-              "optimization never adds operations",
-              p.original_entries, log_size));
-  }
-  for (size_t i = 0; i < p.records.size(); ++i) {
-    const OptRecord& r = p.records[i];
-    if (r.pass.empty()) {
-      Error(report, kWholeRecording,
-            Fmt("justification record %zu names no pass", i));
-    }
-    if (r.action < OptAction::kDelete || r.action > OptAction::kMerge) {
-      Error(report, kWholeRecording,
-            Fmt("justification record %zu has unknown action %u", i,
-                static_cast<unsigned>(r.action)));
-    }
-    if (r.reason < OptReason::kDeadConfigRewrite ||
-        r.reason > OptReason::kReplayDeadPage) {
-      Error(report, kWholeRecording,
-            Fmt("justification record %zu has unknown reason %u", i,
-                static_cast<unsigned>(r.reason)));
-    }
-    if (r.index >= p.original_entries) {
-      Error(report, kWholeRecording,
-            Fmt("justification record %zu targets original index %u; "
-                "original log held %u entries",
-                i, r.index, p.original_entries));
-    }
-    if (r.aux_index >= p.original_entries) {
-      Error(report, kWholeRecording,
-            Fmt("justification record %zu cites witness index %u; "
-                "original log held %u entries",
-                i, r.aux_index, p.original_entries));
-    }
-  }
-}
-
 // ---------------------------------------------------- footprint-soundness
 
 void FootprintSoundnessPass::Run(const AnalysisInput& in,

@@ -1,4 +1,4 @@
-// The eight static-analysis passes over a recording (the admission gate).
+// The seven static-analysis passes over a recording (the admission gate).
 //
 // Pass               Checks                                        Paper
 // -----------------  --------------------------------------------  ------
@@ -17,9 +17,6 @@
 //                    command buffer the chain head points into
 // sku-compat         register image and core tiling match the      §2.4
 //                    claimed SKU from the registry
-// optimizer-provenance headers claiming optimization carry a       §4
-//                    well-formed justification trace, and traces
-//                    only appear on headers that claim it
 // footprint-soundness the header's declared resource footprint     §7
 //                    (v4) is well-formed and over-approximates a
 //                    recomputation from the log — the evidence the
@@ -64,12 +61,6 @@ class MetastateCoveragePass : public AnalysisPass {
 class SkuCompatPass : public AnalysisPass {
  public:
   const char* name() const override { return "sku-compat"; }
-  void Run(const AnalysisInput& in, AnalysisReport* report) const override;
-};
-
-class OptimizerProvenancePass : public AnalysisPass {
- public:
-  const char* name() const override { return "optimizer-provenance"; }
   void Run(const AnalysisInput& in, AnalysisReport* report) const override;
 };
 

@@ -27,7 +27,6 @@ RecordingVerifier::RecordingVerifier() {
   passes_.push_back(std::make_unique<PollIdempotencePass>());
   passes_.push_back(std::make_unique<MetastateCoveragePass>());
   passes_.push_back(std::make_unique<SkuCompatPass>());
-  passes_.push_back(std::make_unique<OptimizerProvenancePass>());
   passes_.push_back(std::make_unique<FootprintSoundnessPass>());
   for (VerifierPassFactory factory : ExtraPassRegistry()) {
     passes_.push_back(factory());

@@ -29,7 +29,7 @@ void RegisterVerifierPass(VerifierPassFactory factory);
 
 class RecordingVerifier {
  public:
-  // A verifier with all eight standard passes plus every registered
+  // A verifier with all seven standard passes plus every registered
   // extra pass.
   RecordingVerifier();
 

@@ -327,33 +327,6 @@ bool IsPowerControlRegister(uint32_t offset) {
   }
 }
 
-bool IsPowerControlHiRegister(uint32_t offset) {
-  return IsPowerControlRegister(offset) && (offset & 0x4) != 0;
-}
-
-bool PowerPresentRegisterFor(uint32_t offset, uint32_t* present_reg) {
-  if (!IsPowerControlRegister(offset)) {
-    return false;
-  }
-  const uint32_t word = offset & 0x4;  // 0 = Lo, 4 = Hi
-  switch (offset & ~0x4u) {
-    case kRegShaderPwrOnLo:
-    case kRegShaderPwrOffLo:
-      *present_reg = kRegShaderPresentLo + word;
-      return true;
-    case kRegTilerPwrOnLo:
-    case kRegTilerPwrOffLo:
-      *present_reg = kRegTilerPresentLo + word;
-      return true;
-    case kRegL2PwrOnLo:
-    case kRegL2PwrOffLo:
-      *present_reg = kRegL2PresentLo + word;
-      return true;
-    default:
-      return false;
-  }
-}
-
 bool PowerStatusRegistersFor(uint32_t offset, uint32_t* ready_reg,
                              uint32_t* pwrtrans_reg) {
   if (!IsPowerControlRegister(offset)) {
@@ -549,8 +522,7 @@ uint32_t GpuIrqBitsRaisedBy(uint32_t reg, uint32_t value) {
   }
   if (IsPowerControlRegister(reg)) {
     // gpu.cc raises PowerChangedAll even for a same-state request. The Hi
-    // words are included conservatively — extra defs only inhibit
-    // optimizations, never enable unsound ones.
+    // words are included conservatively.
     return kGpuIrqPowerChangedSingle | kGpuIrqPowerChangedAll;
   }
   if (InJobSlotBlock(reg) || InAsBlock(reg)) {

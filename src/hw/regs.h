@@ -209,11 +209,13 @@ bool IsNondeterministicRegister(uint32_t offset);
 // not; status/ready/rawstat registers are.
 bool IsReadIdempotentRegister(uint32_t offset);
 
-// ------------------------------------------------------- Dataflow semantics
-// Conservative register semantics for offline analysis of recordings
-// (src/analysis/dataflow). Every classification is derived from the device
-// model (src/hw/gpu.cc) and errs toward "the device may change this":
-// a wrong answer here may only cost an optimization, never correctness.
+// ------------------------------------------------------ Register semantics
+// Conservative register semantics for static analysis of recordings and
+// plans (the footprint analysis in src/analysis/footprint and the plan
+// superoptimizer in src/analysis/planopt). Every classification is derived
+// from the device model (src/hw/gpu.cc) and errs toward "the device may
+// change this": a wrong answer here may only cost an optimization or a
+// co-residency, never correctness.
 
 enum class RegClass : uint8_t {
   // Identity / feature / present registers: fixed for the lifetime of the
@@ -241,15 +243,6 @@ RegClass ClassifyRegister(uint32_t offset);
 
 // True for the PWRON/PWROFF trigger pairs (all domains, Lo and Hi words).
 bool IsPowerControlRegister(uint32_t offset);
-// True for the _HI word of a PWRON/PWROFF pair. On every supported SKU the
-// discovery reads of *_PRESENT_HI return 0 (no cores above bit 31), which
-// makes these writes architectural no-ops — but an optimizer must only rely
-// on this after checking the recording's own validated PRESENT_HI read.
-bool IsPowerControlHiRegister(uint32_t offset);
-// For a power-control register, the matching *_PRESENT_* register of the
-// same domain and word (SHADER_PWRON_HI -> SHADER_PRESENT_HI). Returns
-// false if `offset` is not a power-control register.
-bool PowerPresentRegisterFor(uint32_t offset, uint32_t* present_reg);
 // For a power-control register, the matching *_READY_* / *_PWRTRANS_*
 // registers of the same domain and word. Returns false if `offset` is not
 // a power-control register.
@@ -289,7 +282,7 @@ uint32_t ClobberValueClass(uint32_t stimulus_reg, uint32_t stimulus_value);
 
 // GPU_IRQ_RAWSTAT bits that a CPU write of `value` to `reg` may raise
 // (directly or through the completion event of the operation it starts).
-// Used for per-bit reaching definitions over the IRQ surface. Faults
+// planopt uses it to find the IRQ bits an elided write owns. Faults
 // (kGpuIrqFault) are attributed to job/AS activity; resets conservatively
 // include the power-changed bits because bring-up re-powers cores.
 uint32_t GpuIrqBitsRaisedBy(uint32_t reg, uint32_t value);

@@ -75,9 +75,8 @@ class InteractionLog {
   Bytes Serialize() const;
   static Result<InteractionLog> Deserialize(const Bytes& raw);
 
-  // Rebuilds a log from raw entries. Offline tooling only (the optimizer
-  // lowers an edited dataflow IR back to a log); the record path always
-  // appends through Add.
+  // Rebuilds a log from raw entries. Tests only (hand-built plans); the
+  // record path always appends through Add.
   static InteractionLog FromEntries(std::vector<LogEntry> entries);
 
  private:

@@ -2,31 +2,6 @@
 
 namespace grt {
 
-const char* OptActionName(OptAction a) {
-  switch (a) {
-    case OptAction::kDelete: return "delete";
-    case OptAction::kRewrite: return "rewrite";
-    case OptAction::kMerge: return "merge";
-  }
-  return "?";
-}
-
-const char* OptReasonName(OptReason r) {
-  switch (r) {
-    case OptReason::kDeadConfigRewrite: return "dead-config-rewrite";
-    case OptReason::kNoOpPowerWord: return "no-op-power-word";
-    case OptReason::kCancellingPowerPair: return "cancelling-power-pair";
-    case OptReason::kDeadIrqClear: return "dead-irq-clear";
-    case OptReason::kNondetRead: return "nondet-read";
-    case OptReason::kDominatedObservation: return "dominated-observation";
-    case OptReason::kIrqBitsRewritten: return "irq-bits-rewritten";
-    case OptReason::kDelayMerged: return "delay-merged";
-    case OptReason::kBatchCoalesced: return "batch-coalesced";
-    case OptReason::kReplayDeadPage: return "replay-dead-page";
-  }
-  return "?";
-}
-
 Bytes Recording::SerializeBody() const {
   ByteWriter w;
   w.PutU32(header.magic);
@@ -36,18 +11,6 @@ Bytes Recording::SerializeBody() const {
   w.PutU64(header.record_nonce);
   w.PutU32(header.segment_index);
   w.PutU32(header.segment_count);
-
-  w.PutBool(header.provenance.optimized);
-  w.PutU32(header.provenance.original_entries);
-  w.PutU32(static_cast<uint32_t>(header.provenance.records.size()));
-  for (const OptRecord& rec : header.provenance.records) {
-    w.PutString(rec.pass);
-    w.PutU8(static_cast<uint8_t>(rec.action));
-    w.PutU8(static_cast<uint8_t>(rec.reason));
-    w.PutU32(rec.index);
-    w.PutU32(rec.aux_index);
-    w.PutU64(rec.detail);
-  }
 
   w.PutBool(header.footprint.computed);
   auto put_ranges = [&w](const std::vector<FootprintRange>& ranges) {
@@ -107,22 +70,6 @@ Result<Recording> Recording::ParseUnsigned(const Bytes& body) {
   GRT_ASSIGN_OR_RETURN(rec.header.record_nonce, r.ReadU64());
   GRT_ASSIGN_OR_RETURN(rec.header.segment_index, r.ReadU32());
   GRT_ASSIGN_OR_RETURN(rec.header.segment_count, r.ReadU32());
-
-  GRT_ASSIGN_OR_RETURN(rec.header.provenance.optimized, r.ReadBool());
-  GRT_ASSIGN_OR_RETURN(rec.header.provenance.original_entries, r.ReadU32());
-  GRT_ASSIGN_OR_RETURN(uint32_t n_opt_records, r.ReadU32());
-  for (uint32_t i = 0; i < n_opt_records; ++i) {
-    OptRecord orec;
-    GRT_ASSIGN_OR_RETURN(orec.pass, r.ReadString());
-    GRT_ASSIGN_OR_RETURN(uint8_t action_raw, r.ReadU8());
-    orec.action = static_cast<OptAction>(action_raw);
-    GRT_ASSIGN_OR_RETURN(uint8_t reason_raw, r.ReadU8());
-    orec.reason = static_cast<OptReason>(reason_raw);
-    GRT_ASSIGN_OR_RETURN(orec.index, r.ReadU32());
-    GRT_ASSIGN_OR_RETURN(orec.aux_index, r.ReadU32());
-    GRT_ASSIGN_OR_RETURN(orec.detail, r.ReadU64());
-    rec.header.provenance.records.push_back(std::move(orec));
-  }
 
   GRT_ASSIGN_OR_RETURN(rec.header.footprint.computed, r.ReadBool());
   auto read_ranges =

@@ -35,13 +35,14 @@ struct TensorBinding {
 };
 
 // Container format revision. v2 added the per-read speculative mark to the
-// kRegRead wire encoding; v3 added the optimization-provenance block to
-// the header; v4 added the static resource footprint. Older versions are
+// kRegRead wire encoding; v3 added an offline-optimizer provenance block to
+// the header; v4 added the static resource footprint; v5 dropped the
+// provenance block with the optimizer that wrote it. Older versions are
 // refused (v1 predates the static verifier and cannot prove
-// speculation-residue freedom; v2 cannot prove whether a shrunk log is an
-// optimizer product or tampering; v3 carries no footprint, so the serving
-// device pool could not prove two plans non-interfering).
-constexpr uint32_t kRecordingVersion = 4;
+// speculation-residue freedom; v2 and v3 carry no footprint, so the
+// serving device pool could not prove two plans non-interfering; v4
+// carries the provenance block this layout no longer reads).
+constexpr uint32_t kRecordingVersion = 5;
 
 // ------------------------------------------------------ resource footprint
 // Conservative static summary of everything a replay of this recording can
@@ -93,66 +94,6 @@ struct ResourceFootprint {
   uint8_t PageAccess(uint64_t pa) const { return AccessAt(pages, pa); }
 };
 
-// ------------------------------------------------ optimization provenance
-// What the offline optimizer (src/analysis/opt) did to a recording. Every
-// transformation carries a machine-readable justification record; the
-// `optimizer-provenance` verifier pass refuses recordings whose header
-// claims optimization without a trace (or vice versa), so a shrunk log is
-// always auditable.
-
-enum class OptAction : uint8_t {
-  kDelete = 1,   // entry at `index` removed from the log
-  kRewrite = 2,  // entry at `index` kept with a rewritten field
-  kMerge = 3,    // entry at `index` folded into the entry at `aux_index`
-};
-
-enum class OptReason : uint8_t {
-  // dead-write-elim
-  kDeadConfigRewrite = 1,    // same-value write to a pure latch; the
-                             // reaching definition is unclobbered
-  kNoOpPowerWord = 2,        // power word whose PRESENT_* evidence is 0
-  kCancellingPowerPair = 3,  // OFF;ON over provably-on cores, no observer
-                             // of the power surface in between
-  kDeadIrqClear = 4,         // IRQ clear of bits that are provably 0
-  // redundant-read-elim
-  kNondetRead = 5,           // read the replayer never verifies, of a
-                             // read-idempotent register
-  kDominatedObservation = 6, // observation dominated by an identical one
-                             // with no clobbering stimulus in between
-  // rewrites induced by other removals
-  kIrqBitsRewritten = 7,     // IRQ expectation adjusted for removed defs
-  // commit-coalesce
-  kDelayMerged = 8,          // adjacent pacing delays folded together
-  kBatchCoalesced = 9,       // independent observation hoisted across a
-                             // commit boundary, merging write batches
-  // memsync-prune
-  kReplayDeadPage = 10,      // non-metastate page after the segment's
-                             // first job start: the replayer skips it
-};
-
-const char* OptActionName(OptAction a);
-const char* OptReasonName(OptReason r);
-
-// One justification record. `index`/`aux_index` refer to entry positions
-// in the ORIGINAL (pre-optimization) log, so an auditor can line the trace
-// up against the unoptimized recording.
-struct OptRecord {
-  std::string pass;        // producing pass name
-  OptAction action = OptAction::kDelete;
-  OptReason reason = OptReason::kDeadConfigRewrite;
-  uint32_t index = 0;      // original log index the action applies to
-  uint32_t aux_index = 0;  // witness (dominating def/observation, merge
-                           // target); 0 when not applicable
-  uint64_t detail = 0;     // action-specific payload (bits rewritten,
-                           // bytes pruned, delay folded, ...)
-};
-
-struct OptimizationProvenance {
-  bool optimized = false;
-  uint32_t original_entries = 0;  // log length before optimization
-  std::vector<OptRecord> records;
-};
-
 struct RecordingHeader {
   uint32_t magic = 0x47525452;  // "GRTR"
   uint32_t version = kRecordingVersion;
@@ -163,11 +104,7 @@ struct RecordingHeader {
   // produced by one record run; {0, 1} for a monolithic recording.
   uint32_t segment_index = 0;
   uint32_t segment_count = 1;
-  // Offline optimizer provenance (v3). Recorders emit an empty block;
-  // `grt_opt` fills it in.
-  OptimizationProvenance provenance;
-  // Static resource footprint (v4), stamped at recording finish and
-  // re-stamped by the optimizer (the log it summarizes changed).
+  // Static resource footprint (v4), stamped at recording finish.
   ResourceFootprint footprint;
 };
 

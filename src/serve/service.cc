@@ -711,7 +711,9 @@ Status ReplayService::RunBatch(int index, std::vector<BatchMember*>& batch,
   GRT_ASSIGN_OR_RETURN(ResolvedPlan resolved,
                        Resolve(batch.front()->item.request.workload));
   for (BatchMember* m : batch) {
-    m->response.plan_cache_hit = resolved.cache_hit;
+    // Only the leader looked the plan up; a follower reuses the leader's
+    // resolve, so for it the plan was already compiled (a hit).
+    m->response.plan_cache_hit = resolved.cache_hit || m != batch.front();
     m->response.digest = resolved.digest;
     const ReplayRequest& request = m->item.request;
     if (!DigestIsZero(request.pinned_digest) &&

@@ -475,87 +475,6 @@ TEST(SkuCompatPass, JobConfigBeyondAddressSpaces) {
   EXPECT_TRUE(HasErrorAt(report, "sku-compat", 0));
 }
 
-// ---------------------------------------------------- optimizer-provenance
-
-TEST(OptimizerProvenancePass, UnoptimizedEmptyBlockIsClean) {
-  OptimizerProvenancePass pass;
-  EXPECT_TRUE(RunPass(pass, MakeRecording({Read(kRegGpuId, 1)})).ok());
-}
-
-TEST(OptimizerProvenancePass, TraceWithoutClaimRejected) {
-  Recording rec = MakeRecording({Read(kRegGpuId, 1)});
-  rec.header.provenance.records.push_back(
-      OptRecord{"dead-write-elim", OptAction::kDelete,
-                OptReason::kDeadConfigRewrite, 0, 0, 0});
-  OptimizerProvenancePass pass;
-  EXPECT_TRUE(HasErrorAt(RunPass(pass, rec), "optimizer-provenance",
-                         kWholeRecording));
-
-  // ...and so is a pre-optimization entry count with no claim.
-  Recording rec2 = MakeRecording({Read(kRegGpuId, 1)});
-  rec2.header.provenance.original_entries = 5;
-  EXPECT_TRUE(HasErrorAt(RunPass(pass, rec2), "optimizer-provenance",
-                         kWholeRecording));
-}
-
-TEST(OptimizerProvenancePass, ClaimWithoutTraceRejected) {
-  Recording rec = MakeRecording({Read(kRegGpuId, 1)});
-  rec.header.provenance.optimized = true;
-  rec.header.provenance.original_entries = 2;
-  OptimizerProvenancePass pass;
-  EXPECT_TRUE(HasErrorAt(RunPass(pass, rec), "optimizer-provenance",
-                         kWholeRecording));
-}
-
-TEST(OptimizerProvenancePass, ValidClaimAccepted) {
-  Recording rec = MakeRecording({Read(kRegGpuId, 1)});
-  rec.header.provenance.optimized = true;
-  rec.header.provenance.original_entries = 2;
-  rec.header.provenance.records.push_back(
-      OptRecord{"redundant-read-elim", OptAction::kDelete,
-                OptReason::kNondetRead, 1, 0, 0});
-  OptimizerProvenancePass pass;
-  EXPECT_TRUE(RunPass(pass, rec).ok());
-}
-
-TEST(OptimizerProvenancePass, MalformedRecordsRejected) {
-  OptimizerProvenancePass pass;
-
-  // A log longer than the claimed original: optimization never adds ops.
-  Recording grew = MakeRecording({Read(kRegGpuId, 1), Read(kRegGpuId, 1)});
-  grew.header.provenance.optimized = true;
-  grew.header.provenance.original_entries = 1;
-  grew.header.provenance.records.push_back(
-      OptRecord{"x", OptAction::kDelete, OptReason::kNondetRead, 0, 0, 0});
-  EXPECT_FALSE(RunPass(pass, grew).ok());
-
-  // Record index beyond the original log.
-  Recording oob = MakeRecording({Read(kRegGpuId, 1)});
-  oob.header.provenance.optimized = true;
-  oob.header.provenance.original_entries = 2;
-  oob.header.provenance.records.push_back(
-      OptRecord{"x", OptAction::kDelete, OptReason::kNondetRead, 7, 0, 0});
-  EXPECT_FALSE(RunPass(pass, oob).ok());
-
-  // Witness index beyond the original log.
-  Recording oob_aux = MakeRecording({Read(kRegGpuId, 1)});
-  oob_aux.header.provenance.optimized = true;
-  oob_aux.header.provenance.original_entries = 2;
-  oob_aux.header.provenance.records.push_back(
-      OptRecord{"x", OptAction::kDelete, OptReason::kNondetRead, 0, 9, 0});
-  EXPECT_FALSE(RunPass(pass, oob_aux).ok());
-
-  // Anonymous pass / out-of-range action and reason enums.
-  Recording anon = MakeRecording({Read(kRegGpuId, 1)});
-  anon.header.provenance.optimized = true;
-  anon.header.provenance.original_entries = 2;
-  anon.header.provenance.records.push_back(
-      OptRecord{"", static_cast<OptAction>(99), static_cast<OptReason>(99),
-                0, 0, 0});
-  auto report = RunPass(pass, anon);
-  EXPECT_GE(report.error_count(), 3u);
-}
-
 // ---------------------------------------------------------------- verifier
 
 TEST(Verifier, VerdictNamesPassAndEntry) {
@@ -573,7 +492,7 @@ TEST(Verifier, ReportBookkeeping) {
   RecordingVerifier verifier;
   auto report = verifier.Analyze(rec);
   EXPECT_EQ(report.entries_analyzed, 1u);
-  EXPECT_EQ(report.passes_run, 9u);  // 8 standard + planopt-soundness
+  EXPECT_EQ(report.passes_run, 8u);  // 7 standard + planopt-soundness
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 

@@ -1,9 +1,10 @@
-// Clobber / side-effect model tests (the dataflow-semantics section of
-// src/hw/regs.h). The optimizer's safety arguments bottom out in these
-// tables, so each classification is pinned against the device model's
-// actual behavior (src/hw/gpu.cc): a register the model calls a pure latch
-// must never change anything else, and a stimulus the model calls
-// clobbering must cover every register gpu.cc may touch.
+// Clobber / side-effect model tests (the register-semantics section of
+// src/hw/regs.h). The safety arguments of the footprint analysis and of
+// planopt bottom out in these tables, so each classification is pinned
+// against the device model's actual behavior (src/hw/gpu.cc): a register
+// the model calls a pure latch must never change anything else, and a
+// stimulus the model calls clobbering must cover every register gpu.cc
+// may touch.
 #include <gtest/gtest.h>
 
 #include "src/hw/regs.h"
@@ -61,15 +62,6 @@ TEST(PowerHelpers, RegisterMapping) {
   EXPECT_TRUE(IsPowerControlRegister(kRegShaderPwrOnLo));
   EXPECT_TRUE(IsPowerControlRegister(kRegL2PwrOffHi));
   EXPECT_FALSE(IsPowerControlRegister(kRegShaderReadyLo));
-  EXPECT_TRUE(IsPowerControlHiRegister(kRegTilerPwrOnHi));
-  EXPECT_FALSE(IsPowerControlHiRegister(kRegTilerPwrOnLo));
-
-  uint32_t present = 0;
-  ASSERT_TRUE(PowerPresentRegisterFor(kRegShaderPwrOnHi, &present));
-  EXPECT_EQ(present, kRegShaderPresentHi);
-  ASSERT_TRUE(PowerPresentRegisterFor(kRegL2PwrOffLo, &present));
-  EXPECT_EQ(present, kRegL2PresentLo);
-  EXPECT_FALSE(PowerPresentRegisterFor(kRegGpuCommand, &present));
 
   uint32_t ready = 0, trans = 0;
   ASSERT_TRUE(PowerStatusRegistersFor(kRegTilerPwrOffLo, &ready, &trans));

@@ -13,7 +13,6 @@
 #include <cstring>
 #include <memory>
 
-#include "src/analysis/opt/optimizer.h"
 #include "src/analysis/planopt/planopt.h"
 #include "src/harness/chaos.h"
 #include "src/harness/experiment.h"
@@ -222,32 +221,6 @@ TEST(PlanEquivalence, ChaosCorpus) {
     ++corpus;
   }
   EXPECT_EQ(corpus, 9);
-}
-
-// An optimized (grt_opt) recording composes with the plan compiler: the
-// §6c provenance-checked output lowers to a plan that still replays to
-// the same bits as the unoptimized interpreter replay.
-TEST(PlanEquivalence, OptimizedRecordingLowersEquivalently) {
-  const NetworkDef net = BuildMnist();
-  auto rec = RecordOnce(net);
-  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
-  OptStats stats;
-  auto optimized = OptimizeRecording(*rec, OptimizeOptions{}, &stats);
-  ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
-
-  auto baseline = ReplayColdWarm(net, *rec, Engine::kInterp);
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  auto plan = ReplayColdWarm(net, *optimized, Engine::kPlan);
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  EXPECT_TRUE(BitIdentical(baseline->cold_output, plan->warm_output));
-  EXPECT_LT(plan->warm.mem_bytes_applied, baseline->warm.mem_bytes_applied);
-  // And the superoptimizer composes on top of the §6c-optimized
-  // recording too: same bits, faster still.
-  auto fused = ReplayColdWarm(net, *optimized, Engine::kFused);
-  ASSERT_TRUE(fused.ok()) << fused.status().ToString();
-  EXPECT_TRUE(fused->warm.warm_program_used);
-  EXPECT_TRUE(BitIdentical(baseline->cold_output, fused->warm_output));
-  EXPECT_LT(fused->warm.delay, plan->warm.delay);
 }
 
 }  // namespace

@@ -168,7 +168,7 @@ TEST(LogDiff, OptimizedLogDivergesStructurallyFromOriginal) {
   // remote debugging must compare like with like.
   InteractionLog original, optimized;
   original.Add(Write(kRegShaderConfig, 7));
-  original.Add(Write(kRegShaderConfig, 7));  // duplicate the optimizer drops
+  original.Add(Write(kRegShaderConfig, 7));  // a duplicate an optimizer drops
   original.Add(Read(kRegGpuId, 42));
   optimized.Add(Write(kRegShaderConfig, 7));
   optimized.Add(Read(kRegGpuId, 42));

@@ -246,9 +246,15 @@ TEST(Recording, BadMagicRejected) {
 }
 
 TEST(Recording, UnsupportedVersionRejected) {
-  Recording rec = SampleRecording();
-  rec.header.version = 99;
-  EXPECT_FALSE(Recording::ParseUnsigned(rec.SerializeBody()).ok());
+  // v4 headers carry a provenance block that v5 no longer has.
+  for (uint32_t version : {4u, 99u}) {
+    Recording rec = SampleRecording();
+    rec.header.version = version;
+    auto parsed = Recording::ParseUnsigned(rec.SerializeBody());
+    ASSERT_FALSE(parsed.ok()) << "version " << version;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kIntegrityViolation)
+        << "version " << version;
+  }
 }
 
 }  // namespace

@@ -24,6 +24,27 @@ using ::std::chrono::milliseconds;
 
 class FrontendStreamTest : public FrontendFixture {};
 
+// Encodes `count` copies of `request` (corr ids first_corr, first_corr+1,
+// ...) into one buffer, framed as ReplayClient::Send frames each one.
+// Sent with one SendBytes, the whole pipeline reaches the server's socket
+// at once, so the loop's first 64 KB read admits every request before a
+// completion can pause reads. A request still unread when the first big
+// response pauses reads (the designed backpressure) would never run.
+Bytes PipelinedRequests(const WireRequest& request, uint64_t first_corr,
+                        int count) {
+  Bytes wire;
+  for (int i = 0; i < count; ++i) {
+    Frame frame;
+    frame.type = WireFrameType::kRequest;
+    frame.flags = WireRequestFlags(request);
+    frame.correlation_id = first_corr + static_cast<uint64_t>(i);
+    frame.payload = EncodeWireRequest(request);
+    Bytes encoded = EncodeFrame(frame);
+    wire.insert(wire.end(), encoded.begin(), encoded.end());
+  }
+  return wire;
+}
+
 // A valid request dribbled in 1..7-byte chunks must decode and execute
 // exactly as a single-send request does.
 TEST_F(FrontendStreamTest, ByteDribbleEveryChunkSize) {
@@ -149,11 +170,10 @@ TEST_F(FrontendStreamTest, StalledReaderPausesReadsThenResumes) {
       client.Connect("127.0.0.1", port(), /*recv_timeout_ms=*/5000,
                      /*rcvbuf=*/4 * 1024)
           .ok());
-  for (int i = 0; i < kRequests; ++i) {
-    WireRequest request = MakeWireRequest(0, /*with_params=*/false);
-    request.output_tensor = big;  // ~200 KB response each
-    ASSERT_TRUE(client.Send(1000 + i, request).ok());
-  }
+  WireRequest request = MakeWireRequest(0, /*with_params=*/false);
+  request.output_tensor = big;  // ~200 KB response each
+  ASSERT_TRUE(
+      client.SendBytes(PipelinedRequests(request, 1000, kRequests)).ok());
 
   // Wait for every completion to land in the outbuf; with ~1.6 MB queued
   // against a 64 KB watermark the loop must have paused at least once.
@@ -203,11 +223,9 @@ TEST_F(FrontendStreamTest, StalledReaderBeyondHardCapIsDisconnected) {
                   .Connect("127.0.0.1", port(), /*recv_timeout_ms=*/5000,
                            /*rcvbuf=*/4 * 1024)
                   .ok());
-  for (int i = 0; i < 4; ++i) {
-    WireRequest request = MakeWireRequest(0, /*with_params=*/false);
-    request.output_tensor = big;
-    ASSERT_TRUE(stalled.Send(3000 + i, request).ok());
-  }
+  WireRequest request = MakeWireRequest(0, /*with_params=*/false);
+  request.output_tensor = big;
+  ASSERT_TRUE(stalled.SendBytes(PipelinedRequests(request, 3000, 4)).ok());
 
   ASSERT_TRUE(WaitForStats(
       [](const FrontendStats& s) { return s.stalled_disconnects == 1; }));

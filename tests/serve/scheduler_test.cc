@@ -345,6 +345,7 @@ TEST_F(SchedulerServiceTest, BatchServesBitwiseIdenticalOutputs) {
     futures.push_back(service.SubmitAsync(MakeRequest("mnist", 100 + seed)));
   }
   ASSERT_TRUE(service.Start().ok());
+  size_t miss_responses = 0, warm_responses = 0;
   for (uint64_t seed = 0; seed < 3; ++seed) {
     ReplayResponse response = futures[seed].get();
     ASSERT_TRUE(response.status.ok()) << response.status.ToString();
@@ -354,12 +355,20 @@ TEST_F(SchedulerServiceTest, BatchServesBitwiseIdenticalOutputs) {
                           solo[seed].size() * sizeof(float)),
               0)
         << "seed " << seed;
+    miss_responses += response.plan_cache_hit ? 0 : 1;
+    warm_responses += response.report.warm ? 1 : 0;
   }
   service.Stop();
   ServeStats stats = service.Stats();
   EXPECT_EQ(stats.completed, 3u);
   EXPECT_EQ(stats.batches, 1u);
   EXPECT_EQ(stats.batched_requests, 2u);
+  // Response fields describe each member: the cold leader compiled the
+  // plan, the two followers reused it and replayed warm.
+  EXPECT_EQ(stats.plan_misses, 1u);
+  EXPECT_EQ(miss_responses, stats.plan_misses);
+  EXPECT_EQ(stats.warm_replays, 2u);
+  EXPECT_EQ(warm_responses, stats.warm_replays);
 }
 
 TEST_F(SchedulerServiceTest, BatchDissolvesExpiredMemberAndServesRest) {
