@@ -223,6 +223,16 @@ Status WriteF32(GpuDma* dma, uint64_t va, const std::vector<float>& v) {
   return dma->Write(va, v.data(), v.size() * sizeof(float));
 }
 
+// True when a window of `window` taps has at least one position inside
+// `extent` plus `pad` on each side, with the padded extent representable
+// in the kernels' uint32_t shape arithmetic. Otherwise the output-size
+// formula (extent + 2*pad - window) / stride + 1 wraps, so both engines
+// fault on the descriptor before computing any size.
+bool WindowFits(uint32_t extent, uint32_t window, uint32_t pad) {
+  const uint64_t padded = uint64_t{extent} + 2 * uint64_t{pad};
+  return padded <= UINT32_MAX && window <= padded;
+}
+
 // True when the two float spans share any VA byte.
 bool RangesOverlap(uint64_t va_a, size_t n_a, uint64_t va_b, size_t n_b) {
   const uint64_t la = static_cast<uint64_t>(n_a) * sizeof(float);
@@ -335,6 +345,9 @@ Status ShaderCoreExecutor::ExecuteJobReference(const JobDescriptor& d,
       if (stride == 0) {
         return DeviceFault("im2col stride 0");
       }
+      if (!WindowFits(h, kh, pad) || !WindowFits(w, kw, pad)) {
+        return DeviceFault("im2col window exceeds padded input");
+      }
       uint32_t oh = (h + 2 * pad - kh) / stride + 1;
       uint32_t ow = (w + 2 * pad - kw) / stride + 1;
       std::vector<float> in;
@@ -352,6 +365,9 @@ Status ShaderCoreExecutor::ExecuteJobReference(const JobDescriptor& d,
       uint32_t stride = d.params[6], pad = d.params[7];
       if (stride == 0) {
         return DeviceFault("conv stride 0");
+      }
+      if (!WindowFits(h, kh, pad) || !WindowFits(w, kw, pad)) {
+        return DeviceFault("conv window exceeds padded input");
       }
       uint32_t oh = (h + 2 * pad - kh) / stride + 1;
       uint32_t ow = (w + 2 * pad - kw) / stride + 1;
@@ -389,6 +405,9 @@ Status ShaderCoreExecutor::ExecuteJobReference(const JobDescriptor& d,
       uint32_t win = d.params[3], stride = d.params[4];
       if (stride == 0 || win == 0) {
         return DeviceFault("pool with zero window/stride");
+      }
+      if (!WindowFits(h, win, 0) || !WindowFits(w, win, 0)) {
+        return DeviceFault("pool window exceeds input");
       }
       uint32_t oh = (h - win) / stride + 1;
       uint32_t ow = (w - win) / stride + 1;
@@ -485,6 +504,9 @@ Status ShaderCoreExecutor::ExecuteJobOptimized(const JobDescriptor& d,
       if (stride == 0) {
         return DeviceFault("im2col stride 0");
       }
+      if (!WindowFits(h, kh, pad) || !WindowFits(w, kw, pad)) {
+        return DeviceFault("im2col window exceeds padded input");
+      }
       uint32_t oh = (h + 2 * pad - kh) / stride + 1;
       uint32_t ow = (w + 2 * pad - kw) / stride + 1;
       const size_t in_n = static_cast<size_t>(cin) * h * w;
@@ -508,12 +530,16 @@ Status ShaderCoreExecutor::ExecuteJobOptimized(const JobDescriptor& d,
       if (stride == 0) {
         return DeviceFault("conv stride 0");
       }
+      if (!WindowFits(h, kh, pad) || !WindowFits(w, kw, pad)) {
+        return DeviceFault("conv window exceeds padded input");
+      }
       uint32_t oh = (h + 2 * pad - kh) / stride + 1;
       uint32_t ow = (w + 2 * pad - kw) / stride + 1;
       const size_t in_n = static_cast<size_t>(cin) * h * w;
       const size_t wt_n = static_cast<size_t>(cout) * cin * kh * kw;
       const size_t out_n = static_cast<size_t>(cout) * oh * ow;
-      arena_.BeginJob(in_n + wt_n + out_n + 64);
+      const size_t pack_n = kern::Conv2dPackFloats(cin, cout, kh, kw);
+      arena_.BeginJob(in_n + wt_n + out_n + pack_n + 64);
       const bool clash =
           RangesOverlap(d.output_va, out_n, d.input_va[0], in_n) ||
           RangesOverlap(d.output_va, out_n, d.aux_va, wt_n);
@@ -524,7 +550,8 @@ Status ShaderCoreExecutor::ExecuteJobOptimized(const JobDescriptor& d,
       GRT_ASSIGN_OR_RETURN(
           GpuDma::WriteSpanF32 out,
           dma->MapWriteF32(d.output_va, out_n, &arena_, clash));
-      kern::Conv2dOpt(in, wts, out.data, cin, h, w, cout, kh, kw, stride, pad,
+      kern::Conv2dOpt(in, wts, arena_.AllocF32(pack_n), out.data, cin, h, w,
+                      cout, kh, kw, stride, pad,
                       (d.flags & kJobFlagReluFused) != 0);
       *macs += static_cast<uint64_t>(cout) * oh * ow * cin * kh * kw;
       return dma->CommitWriteF32(out);
@@ -564,6 +591,9 @@ Status ShaderCoreExecutor::ExecuteJobOptimized(const JobDescriptor& d,
       uint32_t win = d.params[3], stride = d.params[4];
       if (stride == 0 || win == 0) {
         return DeviceFault("pool with zero window/stride");
+      }
+      if (!WindowFits(h, win, 0) || !WindowFits(w, win, 0)) {
+        return DeviceFault("pool window exceeds input");
       }
       uint32_t oh = (h - win) / stride + 1;
       uint32_t ow = (w - win) / stride + 1;

@@ -7,19 +7,28 @@
 //     dirty-page machinery depend on, and they are the baseline the
 //     wall-clock speedup gate in bench/replay_serving measures against.
 //   * the *Opt kernels are cache-blocked and lane-parallel: they vectorize
-//     across independent outputs (GEMM j-lanes and row blocks, conv/pool
-//     output-pixel lanes, elementwise strips) while preserving each
-//     output's scalar FP accumulation order, so results are
-//     bitwise-identical to the reference (tests/hw/kernel_golden_test.cc).
+//     across independent outputs (GEMM j-lanes and row blocks, conv
+//     output-channel lanes, pool output-pixel lanes, elementwise strips)
+//     while preserving each output's scalar FP accumulation order, so
+//     results are bitwise-identical to the reference
+//     (tests/hw/kernel_golden_test.cc).
 //
 // Why lane-parallelism is bitwise-safe: every optimization only reorders
 // work *across* outputs, never within one output's accumulation chain.
 // GEMM keeps the reference's kk-ascending order per c[i,j] (the av==0 skip
-// depends only on (i,kk), so it is uniform across the j lanes); conv and
-// pool visit (ci,ki,kj) ascending per output pixel with the same
-// out-of-bounds skips; softmax keeps the serial max and serial
-// double-precision sum. Compiled with -ffp-contract=off so FMA contraction
-// cannot change results on targets where the compiler would otherwise fuse.
+// depends only on (i,kk), so it is uniform across the j lanes). Conv runs
+// its lanes across output channels: the reference's out-of-bounds skip
+// depends only on (pixel, tap), so it is uniform across them, and each
+// pixel visits exactly its in-bounds taps, (ci,ki,kj) ascending, from a
+// +0.0f start. Pool visits (ki,kj) ascending per output pixel; softmax
+// keeps the serial max and serial double-precision sum. Compiled with
+// -ffp-contract=off so FMA contraction cannot change results on targets
+// where the compiler would otherwise fuse.
+//
+// The bitwise contract covers every value except NaN bit patterns: when
+// two NaNs meet in one operation, x86 returns one operand's NaN, and the
+// two kernels may order an add's operands differently, so a NaN output can
+// differ in sign or payload. Which outputs are NaN is identical.
 //
 // All kernels take raw pointers (the executor hands them zero-copy views
 // into PhysicalMemory or arena scratch); shapes are in elements. Output
@@ -92,13 +101,19 @@ void Im2ColOpt(const float* in, float* out, uint32_t cin, uint32_t h,
                uint32_t w, uint32_t kh, uint32_t kw, uint32_t stride,
                uint32_t pad);
 
-// Direct convolution, optional fused relu.
+// Direct convolution, optional fused relu. The optimized kernel repacks
+// the [co][ci][ki][kj] weights into `wpack` (Conv2dPackFloats floats of
+// caller-owned scratch, e.g. ScratchArena) as [ci][ki][kj][co] with co
+// zero-padded to its lane width; the contents of wpack are overwritten.
 void Conv2dRef(const float* in, const float* wts, float* out, uint32_t cin,
                uint32_t h, uint32_t w, uint32_t cout, uint32_t kh, uint32_t kw,
                uint32_t stride, uint32_t pad, bool relu);
-void Conv2dOpt(const float* in, const float* wts, float* out, uint32_t cin,
-               uint32_t h, uint32_t w, uint32_t cout, uint32_t kh, uint32_t kw,
-               uint32_t stride, uint32_t pad, bool relu);
+size_t Conv2dPackFloats(uint32_t cin, uint32_t cout, uint32_t kh,
+                        uint32_t kw);
+void Conv2dOpt(const float* in, const float* wts, float* wpack, float* out,
+               uint32_t cin, uint32_t h, uint32_t w, uint32_t cout,
+               uint32_t kh, uint32_t kw, uint32_t stride, uint32_t pad,
+               bool relu);
 
 // out[i] = x[i] (+ bias[(i/spatial) % bias_len] when bias_len > 0, with
 // spatial = count / bias_len), optional relu. bias may be null when

@@ -20,9 +20,78 @@ namespace {
 // lane (the serial FP-add latency chain is the reference's bottleneck).
 constexpr uint32_t kGemmRows = 4;
 constexpr uint32_t kGemmCols = 8;
-// Independent output lanes for n==1 GEMM (fully-connected layers), conv,
-// and pool.
+// Independent output lanes for n==1 GEMM (fully-connected layers) and
+// pool.
 constexpr uint32_t kLanes = 8;
+// Direct-conv register tile: kConvPix output pixels x kConvCo output
+// channels. The vector lanes run across output channels, so every lane of
+// a pixel row shares that pixel's tap bounds.
+constexpr uint32_t kConvPix = 4;
+constexpr uint32_t kConvCo = 8;
+// Weight repack transpose block (one cache line of floats each way).
+constexpr uint32_t kPackBlock = 16;
+
+uint32_t ConvPaddedCout(uint32_t cout) {
+  return (cout + kConvCo - 1) / kConvCo * kConvCo;
+}
+
+// [co][ci][ki][kj] -> [ci][ki][kj][co], co zero-padded to a multiple of
+// kConvCo. Transposed in kPackBlock-square blocks, so both the source
+// rows and the destination rows are walked a cache line at a time.
+void PackConvWeights(const float* wts, float* packed, uint32_t cin,
+                     uint32_t cout, uint32_t kh, uint32_t kw) {
+  const uint32_t coutp = ConvPaddedCout(cout);
+  const size_t taps = static_cast<size_t>(cin) * kh * kw;
+  for (size_t t0 = 0; t0 < taps; t0 += kPackBlock) {
+    const size_t nt = std::min<size_t>(kPackBlock, taps - t0);
+    for (uint32_t co0 = 0; co0 < cout; co0 += kPackBlock) {
+      const uint32_t nc = std::min(kPackBlock, cout - co0);
+      for (uint32_t c = 0; c < nc; ++c) {
+        const float* src = wts + (co0 + c) * taps + t0;
+        float* dst = packed + t0 * coutp + co0 + c;
+        for (size_t t = 0; t < nt; ++t) {
+          dst[t * coutp] = src[t];
+        }
+      }
+    }
+    for (size_t t = t0; t < t0 + nt; ++t) {
+      std::fill(packed + t * coutp + cout, packed + (t + 1) * coutp, 0.0f);
+    }
+  }
+}
+
+// One output pixel's in-bounds taps: the [ki_lo,ki_hi) x [kj_lo,kj_hi)
+// rectangle as an input offset, a packed-weight offset, and its extent.
+// An empty rectangle (a tail slot, or a pixel whose whole window is
+// padding) has nki == 0 and visits nothing.
+struct ConvPixelTaps {
+  size_t in_off = 0;
+  size_t w_off = 0;
+  uint32_t nki = 0;
+  uint32_t nkj = 0;
+};
+
+ConvPixelTaps PixelTaps(uint32_t oi, uint32_t oj, uint32_t h, uint32_t w,
+                        uint32_t kh, uint32_t kw, uint32_t stride,
+                        uint32_t pad, uint32_t coutp) {
+  ConvPixelTaps t;
+  const int64_t i0 = static_cast<int64_t>(oi) * stride - pad;
+  const int64_t j0 = static_cast<int64_t>(oj) * stride - pad;
+  const int64_t ki_lo = std::max<int64_t>(0, -i0);
+  const int64_t ki_hi = std::min<int64_t>(kh, static_cast<int64_t>(h) - i0);
+  const int64_t kj_lo = std::max<int64_t>(0, -j0);
+  const int64_t kj_hi = std::min<int64_t>(kw, static_cast<int64_t>(w) - j0);
+  if (ki_lo >= ki_hi || kj_lo >= kj_hi) {
+    return t;
+  }
+  t.in_off = static_cast<size_t>(i0 + ki_lo) * w +
+             static_cast<size_t>(j0 + kj_lo);
+  t.w_off = (static_cast<size_t>(ki_lo) * kw + static_cast<size_t>(kj_lo)) *
+            coutp;
+  t.nki = static_cast<uint32_t>(ki_hi - ki_lo);
+  t.nkj = static_cast<uint32_t>(kj_hi - kj_lo);
+  return t;
+}
 
 // n == 1 (fully-connected) GEMM: one dot product per output row. The
 // reference's chain is serial per row; running kLanes rows side by side
@@ -188,55 +257,61 @@ void Im2ColOpt(const float* in, float* out, uint32_t cin, uint32_t h,
   }
 }
 
-void Conv2dOpt(const float* in, const float* wts, float* out, uint32_t cin,
-               uint32_t h, uint32_t w, uint32_t cout, uint32_t kh, uint32_t kw,
-               uint32_t stride, uint32_t pad, bool relu) {
-  uint32_t oh = (h + 2 * pad - kh) / stride + 1;
-  uint32_t ow = (w + 2 * pad - kw) / stride + 1;
-  for (uint32_t co = 0; co < cout; ++co) {
-    for (uint32_t oi = 0; oi < oh; ++oi) {
-      for (uint32_t oj0 = 0; oj0 < ow; oj0 += kLanes) {
-        const uint32_t lanes = std::min(kLanes, ow - oj0);
-        float acc[kLanes] = {};
-        for (uint32_t ci = 0; ci < cin; ++ci) {
-          // The row bound depends on (oi, ki) only — hoisting it out of
-          // the kj loop skips exactly the iterations the reference skips.
-          for (uint32_t ki = 0; ki < kh; ++ki) {
-            const int64_t ii = static_cast<int64_t>(oi) * stride + ki - pad;
-            if (ii < 0 || ii >= h) {
-              continue;
-            }
-            const float* irow = in + (static_cast<size_t>(ci) * h + ii) * w;
-            const float* wrow =
-                wts + ((static_cast<size_t>(co) * cin + ci) * kh + ki) * kw;
-            for (uint32_t kj = 0; kj < kw; ++kj) {
-              const float wv = wrow[kj];
-              const int64_t jbase =
-                  static_cast<int64_t>(oj0) * stride + kj - pad;
-              if (jbase >= 0 &&
-                  jbase + static_cast<int64_t>(lanes - 1) * stride <
-                      static_cast<int64_t>(w)) {
-                // Interior: every lane is in bounds, no predicates.
-                for (uint32_t r = 0; r < lanes; ++r) {
-                  acc[r] +=
-                      irow[jbase + static_cast<int64_t>(r) * stride] * wv;
-                }
-              } else {
-                for (uint32_t r = 0; r < lanes; ++r) {
-                  const int64_t jj =
-                      jbase + static_cast<int64_t>(r) * stride;
-                  if (jj >= 0 && jj < w) {
-                    acc[r] += irow[jj] * wv;
-                  }
-                }
+size_t Conv2dPackFloats(uint32_t cin, uint32_t cout, uint32_t kh,
+                        uint32_t kw) {
+  return static_cast<size_t>(cin) * kh * kw * ConvPaddedCout(cout);
+}
+
+void Conv2dOpt(const float* in, const float* wts, float* wpack, float* out,
+               uint32_t cin, uint32_t h, uint32_t w, uint32_t cout,
+               uint32_t kh, uint32_t kw, uint32_t stride, uint32_t pad,
+               bool relu) {
+  const uint32_t oh = (h + 2 * pad - kh) / stride + 1;
+  const uint32_t ow = (w + 2 * pad - kw) / stride + 1;
+  const size_t npix = static_cast<size_t>(oh) * ow;
+  const uint32_t coutp = ConvPaddedCout(cout);
+  const size_t in_ci = static_cast<size_t>(h) * w;
+  const size_t w_ci = static_cast<size_t>(kh) * kw * coutp;
+  PackConvWeights(wts, wpack, cin, cout, kh, kw);
+  for (uint32_t co0 = 0; co0 < cout; co0 += kConvCo) {
+    for (size_t q0 = 0; q0 < npix; q0 += kConvPix) {
+      const uint32_t np =
+          static_cast<uint32_t>(std::min<size_t>(kConvPix, npix - q0));
+      ConvPixelTaps px[kConvPix];
+      for (uint32_t p = 0; p < np; ++p) {
+        const size_t q = q0 + p;
+        px[p] = PixelTaps(static_cast<uint32_t>(q / ow),
+                          static_cast<uint32_t>(q % ow), h, w, kh, kw, stride,
+                          pad, coutp);
+      }
+      // Each pixel row is the reference's chain: +0.0f, then ci
+      // ascending, and inside each ci exactly its in-bounds taps in
+      // (ki, kj) order. Rows are independent, so interleaving them per ci
+      // changes no bits; the padded channel lanes are never stored.
+      float acc[kConvPix][kConvCo] = {};
+      for (uint32_t ci = 0; ci < cin; ++ci) {
+        const float* xc = in + ci * in_ci;
+        const float* wc = wpack + ci * w_ci + co0;
+        for (uint32_t p = 0; p < kConvPix; ++p) {
+          const float* x = xc + px[p].in_off;
+          const float* wt = wc + px[p].w_off;
+          for (uint32_t a = 0; a < px[p].nki; ++a) {
+            for (uint32_t b = 0; b < px[p].nkj; ++b) {
+              const float xv = x[static_cast<size_t>(a) * w + b];
+              const float* w8 =
+                  wt + (static_cast<size_t>(a) * kw + b) * coutp;
+              for (uint32_t c = 0; c < kConvCo; ++c) {
+                acc[p][c] += xv * w8[c];
               }
             }
           }
         }
-        float* orow =
-            out + (static_cast<size_t>(co) * oh + oi) * ow + oj0;
-        for (uint32_t r = 0; r < lanes; ++r) {
-          orow[r] = relu ? std::max(0.0f, acc[r]) : acc[r];
+      }
+      const uint32_t nc = std::min(kConvCo, cout - co0);
+      for (uint32_t c = 0; c < nc; ++c) {
+        float* orow = out + (co0 + c) * npix + q0;
+        for (uint32_t p = 0; p < np; ++p) {
+          orow[p] = relu ? std::max(0.0f, acc[p][c]) : acc[p][c];
         }
       }
     }

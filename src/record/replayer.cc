@@ -138,7 +138,8 @@ Status Replayer::StageTensor(const std::string& name,
   if (inserted) {
     injected_pages_valid_ = false;
   }
-  slot->second.assign(data.begin(), data.end());
+  slot->second.data.assign(data.begin(), data.end());
+  slot->second.restaged = true;
   return OkStatus();
 }
 
@@ -147,7 +148,7 @@ const std::unordered_set<uint64_t>& Replayer::InjectedPages() {
   // images: the recorded (dry-run) content would clobber real data.
   if (!injected_pages_valid_) {
     injected_pages_.clear();
-    for (const auto& [name, data] : staged_) {
+    for (const auto& [name, staged] : staged_) {
       for (uint64_t pa : recording_->bindings.at(name).pages) {
         injected_pages_.insert(pa);
       }
@@ -158,7 +159,8 @@ const std::unordered_set<uint64_t>& Replayer::InjectedPages() {
 }
 
 Status Replayer::InjectStaged() {
-  for (const auto& [name, data] : staged_) {
+  for (const auto& [name, staged] : staged_) {
+    const std::vector<float>& data = staged.data;
     const TensorBinding& b = recording_->bindings.at(name);
     uint64_t bytes = data.size() * sizeof(float);
     const auto* src = reinterpret_cast<const uint8_t*>(data.data());
@@ -178,9 +180,8 @@ Status Replayer::InjectStaged() {
   return OkStatus();
 }
 
-Status Replayer::InjectStagedPlanned(ReplayReport* report) {
-  (void)report;
-  for (const auto& [name, data] : staged_) {
+Status Replayer::InjectStagedPlanned(bool warm) {
+  for (auto& [name, staged] : staged_) {
     auto it = plan_->patches.find(name);
     if (it == plan_->patches.end()) {
       return Internal("no patch-table entry for tensor '" + name + "'");
@@ -189,11 +190,27 @@ Status Replayer::InjectStagedPlanned(ReplayReport* report) {
     if (!patch.complete) {
       return Internal("binding page list too short");
     }
-    const auto* src = reinterpret_cast<const uint8_t*>(data.data());
+    // Warm: a tensor not restaged since its last injection, on pages no
+    // write touched since, still holds exactly its staged bytes. Pages
+    // injected earlier in this pass are marked below, so a tensor sharing
+    // a page with one re-injected ahead of it is re-injected too and the
+    // last writer in staging order still wins, as in a full pass.
+    // A chunk is at most a page long, so it touches at most two pages.
+    if (warm && !staged.restaged &&
+        std::none_of(patch.chunks.begin(), patch.chunks.end(),
+                     [this](const PatchChunk& c) {
+                       return dirty_pages_.Contains(c.pa) ||
+                              dirty_pages_.Contains(c.pa + c.len - 1);
+                     })) {
+      continue;
+    }
+    const auto* src = reinterpret_cast<const uint8_t*>(staged.data.data());
     for (const PatchChunk& c : patch.chunks) {
       GRT_RETURN_IF_ERROR(mem_->Write(c.pa, src + c.src_offset, c.len,
                                       MemAccessOrigin::kCpuSecureWorld));
+      dirty_pages_.MarkRange(c.pa, c.len);
     }
+    staged.restaged = false;
   }
   return OkStatus();
 }
@@ -485,11 +502,15 @@ Result<ReplayReport> Replayer::ReplayPlanned() {
     TimePoint t0 = timeline_->now();
     const uint64_t w0 = WallNowNs();
     GRT_RETURN_IF_ERROR(ApplyPlanImages(warm, &report));
+    // Injection runs with the observer still suspended, so the tensor
+    // pages it writes come out clean like the image pages: the next warm
+    // replay skips a tensor until it is restaged or its pages are written.
+    const Status injected = InjectStagedPlanned(warm);
     // Image state is established; from here every write dirties its page.
     dirty_pages_.Clear();
     observer_active_ = config_.dirty_tracking;
-    have_image_state_ = config_.dirty_tracking;
-    GRT_RETURN_IF_ERROR(InjectStagedPlanned(&report));
+    have_image_state_ = config_.dirty_tracking && injected.ok();
+    GRT_RETURN_IF_ERROR(injected);
     report.stage_page_apply += timeline_->now() - t0;
     report.wall_page_apply_ns += WallNowNs() - w0;
   }

@@ -23,14 +23,15 @@
 //   * the compiled plan (src/record/plan.h) executes a flat op array with
 //     the initial memory image pre-coalesced, plus dirty-page tracking:
 //     replay N+1 re-applies only the pages replay N clobbered (tracked by
-//     PhysicalMemory write interposition) and the staged-tensor pages —
-//     back-to-back inferences stop paying the full memsync cost.
+//     PhysicalMemory write interposition) and re-injects only the staged
+//     tensors that were restaged or clobbered — back-to-back inferences
+//     stop paying the full memsync cost.
 //
 // Dirty-page soundness: a page is skipped only if no write — CPU either
 // world, GPU DMA, this replayer's own mid-replay reapplications — touched
-// it since its image was applied. An untouched page still holds exactly
-// the image content, so skipping the copy cannot change any replay-visible
-// state (see DESIGN.md §6d).
+// it since its image or tensor bytes were applied. An untouched page still
+// holds exactly that content, so skipping the copy cannot change any
+// replay-visible state (see DESIGN.md §6d).
 #ifndef GRT_SRC_RECORD_REPLAYER_H_
 #define GRT_SRC_RECORD_REPLAYER_H_
 
@@ -217,12 +218,16 @@ class Replayer {
 
   // Stages tensor data to inject (model parameters, new input). Data is
   // written at replay start through the recorded physical pages.
-  // Re-staging an already-staged tensor overwrites it in place.
+  // Re-staging an already-staged tensor overwrites it in place and marks
+  // it for injection on the next replay; a warm plan replay skips staged
+  // tensors that were neither restaged nor written since their last
+  // injection (weights staged once are not rewritten per inference).
   Status StageTensor(const std::string& name, const std::vector<float>& data);
 
   // Runs the replay. May be called repeatedly (each call resets the GPU,
-  // reapplies memory, and re-injects staged tensors) — "the replay can
-  // recur within the TEE on new input repeatedly".
+  // reapplies memory, and re-injects staged tensors; warm plan replays
+  // limit both to what changed since the previous replay) — "the replay
+  // can recur within the TEE on new input repeatedly".
   Result<ReplayReport> Replay();
 
   // Reads a tensor (typically the output) from the recorded pages.
@@ -262,7 +267,7 @@ class Replayer {
  private:
   Status ApplyMemEntry(const LogEntry& e, ReplayReport* report);
   Status InjectStaged();
-  Status InjectStagedPlanned(ReplayReport* report);
+  Status InjectStagedPlanned(bool warm);
   Status WaitIrqLines(uint8_t lines, uint8_t tolerated = 0);
   Result<ReplayReport> ReplayInterpreted();
   Result<ReplayReport> ReplayPlanned();
@@ -281,7 +286,12 @@ class Replayer {
   std::shared_ptr<const ReplayPlan> plan_;
   InteractionLog observed_;
   bool loaded_ = false;
-  std::map<std::string, std::vector<float>> staged_;
+  struct StagedTensor {
+    std::vector<float> data;
+    // Set by StageTensor, cleared when the plan path injects the values.
+    bool restaged = true;
+  };
+  std::map<std::string, StagedTensor> staged_;
   // Pages owned by currently-staged tensors; rebuilt lazily when staging
   // changes instead of on every Replay().
   std::unordered_set<uint64_t> injected_pages_;

@@ -4,10 +4,15 @@
 // modeled duration (which covers MACs *and* bytes-moved accounting), and
 // identical fault behaviour. Shapes include odd/tail sizes, page-crossing
 // tensors over physically discontiguous (reversed) pages, unaligned
-// bases, in-place operands, and partially-overlapping operands.
+// bases, in-place operands, and partially-overlapping operands. Values
+// include +-0, +-Inf, denormals and NaNs; NaN bit patterns are not pinned
+// (kernels.h), so NaN cases compare NaN positions, not NaN bits.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -37,6 +42,50 @@ std::vector<float> TestData(size_t n, uint32_t seed) {
   }
   return v;
 }
+
+// TestData with about one value in eight replaced by an IEEE special:
+// +-Inf, denormals of both signs (down to the smallest), or the largest
+// finite float. With `nan`, about one in sixteen more becomes a NaN (quiet
+// or signalling, either sign, with and without payload).
+std::vector<float> SpecialData(size_t n, uint32_t seed, bool nan) {
+  static const uint32_t kSpecials[] = {
+      0x7f800000u,  // +Inf
+      0xff800000u,  // -Inf
+      0x00000001u,  // smallest denormal
+      0x80000001u,  // its negation
+      0x007fffffu,  // largest denormal
+      0x80400000u,  // a negative denormal
+      0x7f7fffffu,  // FLT_MAX
+  };
+  static const uint32_t kNans[] = {0x7fc00000u, 0xffc00000u, 0x7fc00123u,
+                                   0xffa00001u};
+  std::vector<float> v = TestData(n, seed);
+  uint32_t s = seed * 40503u + 977u;
+  for (size_t i = 0; i < n; ++i) {
+    s = s * 1664525u + 1013904223u;
+    const uint32_t r = s >> 16;
+    uint32_t bits = 0;
+    if (r % 8 == 0) {
+      bits = kSpecials[(r / 8) % 7];
+    } else if (nan && r % 16 == 1) {
+      bits = kNans[(r / 16) % 4];
+    } else {
+      continue;
+    }
+    std::memcpy(&v[i], &bits, sizeof(bits));
+  }
+  return v;
+}
+
+std::vector<float> InfDenormData(size_t n, uint32_t seed) {
+  return SpecialData(n, seed, false);
+}
+
+std::vector<float> NanData(size_t n, uint32_t seed) {
+  return SpecialData(n, seed, true);
+}
+
+using DataFn = std::vector<float> (*)(size_t, uint32_t);
 
 // Bare-metal single-engine rig (same shape as the executor_test harness,
 // but constructed fresh per engine so each run starts from identical
@@ -148,12 +197,11 @@ struct Outcome {
   std::vector<uint8_t> out;
 };
 
-// Runs the same scenario on a fresh rig per engine and asserts full
-// parity: status, fault register content, modeled duration (covers MACs
-// and bytes-moved), and bitwise output bytes.
+// Runs the same scenario on a fresh rig per engine: [0] is the reference
+// engine, [1] the optimized one.
 template <typename SetupFn>
-void ExpectEngineParity(SetupFn setup) {
-  Outcome res[2];
+std::array<Outcome, 2> RunEngines(SetupFn setup) {
+  std::array<Outcome, 2> res;
   const KernelEngine engines[2] = {KernelEngine::kReference,
                                    KernelEngine::kOptimized};
   for (int i = 0; i < 2; ++i) {
@@ -164,6 +212,12 @@ void ExpectEngineParity(SetupFn setup) {
       res[i].out = rig.ReadVaBytes(p.out_va, p.out_bytes);
     }
   }
+  return res;
+}
+
+// Status, fault register content, modeled duration (covers MACs and
+// bytes-moved) and job count agree between the engines.
+void ExpectStatusParity(const std::array<Outcome, 2>& res) {
   const ExecResult& ref = res[0].result;
   const ExecResult& opt = res[1].result;
   EXPECT_EQ(ref.status.ok(), opt.status.ok())
@@ -175,11 +229,51 @@ void ExpectEngineParity(SetupFn setup) {
   EXPECT_EQ(ref.duration, opt.duration);
   EXPECT_EQ(ref.total_macs, opt.total_macs);
   EXPECT_EQ(ref.jobs_executed, opt.jobs_executed);
+}
+
+// Runs the same scenario on a fresh rig per engine and asserts full
+// parity: status, fault register content, modeled duration (covers MACs
+// and bytes-moved), and bitwise output bytes. Returns both outcomes.
+template <typename SetupFn>
+std::array<Outcome, 2> ExpectEngineParity(SetupFn setup) {
+  std::array<Outcome, 2> res = RunEngines(setup);
+  ExpectStatusParity(res);
   EXPECT_EQ(res[0].out, res[1].out) << "output bytes differ";
+  return res;
+}
+
+float FloatAt(const std::vector<uint8_t>& bytes, size_t i) {
+  float f;
+  std::memcpy(&f, bytes.data() + i * sizeof(float), sizeof(f));
+  return f;
+}
+
+// Parity for NaN-bearing inputs, whose NaN bits are not pinned: status
+// parity, bitwise equality on every output the reference does not make
+// NaN, and NaN exactly where the reference has one. Returns the number of
+// NaN outputs.
+template <typename SetupFn>
+size_t ExpectEngineParityUpToNanBits(SetupFn setup) {
+  const std::array<Outcome, 2> res = RunEngines(setup);
+  ExpectStatusParity(res);
+  EXPECT_EQ(res[0].out.size(), res[1].out.size());
+  size_t nans = 0;
+  for (size_t i = 0; i < res[0].out.size() / sizeof(float); ++i) {
+    if (std::isnan(FloatAt(res[0].out, i))) {
+      ++nans;
+      EXPECT_TRUE(std::isnan(FloatAt(res[1].out, i))) << "output " << i;
+    } else {
+      EXPECT_EQ(0, std::memcmp(res[0].out.data() + i * sizeof(float),
+                               res[1].out.data() + i * sizeof(float),
+                               sizeof(float)))
+          << "output " << i;
+    }
+  }
+  return nans;
 }
 
 Prepared GemmCase(Rig& rig, uint32_t m, uint32_t k, uint32_t n, bool relu,
-                  bool reversed = false) {
+                  bool reversed = false, DataFn data = TestData) {
   auto pages = [](size_t floats) {
     return (floats * 4 + kPageSize - 1) / kPageSize;
   };
@@ -189,8 +283,8 @@ Prepared GemmCase(Rig& rig, uint32_t m, uint32_t k, uint32_t n, bool relu,
                        reversed);
   uint64_t c = rig.Map(pages(static_cast<size_t>(m) * n), {true, true, false},
                        reversed);
-  rig.WriteF32(a, TestData(static_cast<size_t>(m) * k, m * 31 + k));
-  rig.WriteF32(b, TestData(static_cast<size_t>(k) * n, k * 17 + n));
+  rig.WriteF32(a, data(static_cast<size_t>(m) * k, m * 31 + k));
+  rig.WriteF32(b, data(static_cast<size_t>(k) * n, k * 17 + n));
   JobDescriptor d;
   d.op = GpuOp::kGemm;
   if (relu) {
@@ -201,6 +295,108 @@ Prepared GemmCase(Rig& rig, uint32_t m, uint32_t k, uint32_t n, bool relu,
   d.output_va = c;
   d.params = {m, k, n, 0, 0, 0, 0, 0};
   return {rig.InstallJob(d), c, static_cast<uint64_t>(m) * n * 4};
+}
+
+// One conv2d job on s = {cin, h, w, cout, kh, kw, stride, pad}.
+Prepared ConvCase(Rig& rig, const std::array<uint32_t, 8>& s, bool relu,
+                  const std::vector<float>& in_data,
+                  const std::vector<float>& wt_data) {
+  uint32_t cin = s[0], h = s[1], w = s[2], cout = s[3];
+  uint32_t kh = s[4], kw = s[5], stride = s[6], pad = s[7];
+  uint32_t oh = (h + 2 * pad - kh) / stride + 1;
+  uint32_t ow = (w + 2 * pad - kw) / stride + 1;
+  size_t out_n = static_cast<size_t>(cout) * oh * ow;
+  uint64_t in =
+      rig.Map((in_data.size() * 4) / kPageSize + 1, {true, false, false});
+  uint64_t wt =
+      rig.Map((wt_data.size() * 4) / kPageSize + 1, {true, false, false});
+  uint64_t out = rig.Map((out_n * 4) / kPageSize + 1, {true, true, false});
+  rig.WriteF32(in, in_data);
+  rig.WriteF32(wt, wt_data);
+  JobDescriptor d;
+  d.op = GpuOp::kConv2d;
+  if (relu) {
+    d.flags = kJobFlagReluFused;
+  }
+  d.input_va[0] = in;
+  d.aux_va = wt;
+  d.output_va = out;
+  d.params = {cin, h, w, cout, kh, kw, stride, pad};
+  return {rig.InstallJob(d), out, out_n * 4};
+}
+
+Prepared ConvCase(Rig& rig, const std::array<uint32_t, 8>& s, bool relu,
+                  DataFn data) {
+  const size_t in_n = static_cast<size_t>(s[0]) * s[1] * s[2];
+  const size_t wt_n = static_cast<size_t>(s[3]) * s[0] * s[4] * s[5];
+  return ConvCase(rig, s, relu, data(in_n, s[1] * 3 + s[2]),
+                  data(wt_n, s[3] * 13 + s[4]));
+}
+
+Prepared PoolCase(Rig& rig, GpuOp op, uint32_t c, uint32_t h, uint32_t w,
+                  uint32_t win, uint32_t stride, DataFn data) {
+  uint32_t oh = (h - win) / stride + 1;
+  uint32_t ow = (w - win) / stride + 1;
+  size_t in_n = static_cast<size_t>(c) * h * w;
+  size_t out_n = static_cast<size_t>(c) * oh * ow;
+  uint64_t in = rig.Map((in_n * 4) / kPageSize + 1, {true, false, false});
+  uint64_t out = rig.Map((out_n * 4) / kPageSize + 1, {true, true, false});
+  rig.WriteF32(in, data(in_n, c * 5 + win));
+  JobDescriptor d;
+  d.op = op;
+  d.input_va[0] = in;
+  d.output_va = out;
+  d.params = {c, h, w, win, stride, 0, 0, 0};
+  return {rig.InstallJob(d), out, out_n * 4};
+}
+
+Prepared BiasReluCase(Rig& rig, uint32_t count, uint32_t bias_len, bool relu,
+                      DataFn data) {
+  uint64_t x = rig.Map(2, {true, false, false});
+  uint64_t b = rig.Map(1, {true, false, false});
+  uint64_t out = rig.Map(2, {true, true, false});
+  rig.WriteF32(x, data(count, count * 3));
+  rig.WriteF32(b, data(bias_len, bias_len + 41));
+  JobDescriptor d;
+  d.op = GpuOp::kBiasRelu;
+  if (relu) {
+    d.flags = kJobFlagReluFused;
+  }
+  d.input_va[0] = x;
+  d.aux_va = b;
+  d.output_va = out;
+  d.params = {count, bias_len, 0, 0, 0, 0, 0, 0};
+  return {rig.InstallJob(d), out, static_cast<uint64_t>(count) * 4};
+}
+
+Prepared EltwiseAddCase(Rig& rig, uint32_t count, bool relu, DataFn data) {
+  uint64_t a = rig.Map(2, {true, false, false});
+  uint64_t b = rig.Map(2, {true, false, false});
+  uint64_t out = rig.Map(2, {true, true, false});
+  rig.WriteF32(a, data(count, count));
+  rig.WriteF32(b, data(count, count + 1));
+  JobDescriptor d;
+  d.op = GpuOp::kEltwiseAdd;
+  if (relu) {
+    d.flags = kJobFlagReluFused;
+  }
+  d.input_va[0] = a;
+  d.input_va[1] = b;
+  d.output_va = out;
+  d.params = {count, 0, 0, 0, 0, 0, 0, 0};
+  return {rig.InstallJob(d), out, static_cast<uint64_t>(count) * 4};
+}
+
+Prepared SoftmaxCase(Rig& rig, uint32_t count, DataFn data) {
+  uint64_t x = rig.Map(1, {true, false, false});
+  uint64_t out = rig.Map(1, {true, true, false});
+  rig.WriteF32(x, data(count, count * 13));
+  JobDescriptor d;
+  d.op = GpuOp::kSoftmax;
+  d.input_va[0] = x;
+  d.output_va = out;
+  d.params = {count, 0, 0, 0, 0, 0, 0, 0};
+  return {rig.InstallJob(d), out, static_cast<uint64_t>(count) * 4};
 }
 
 TEST(KernelGolden, GemmOddShapes) {
@@ -256,41 +452,19 @@ TEST(KernelGolden, Im2ColShapes) {
 }
 
 TEST(KernelGolden, Conv2dShapes) {
-  const uint32_t shapes[][8] = {
+  const std::array<uint32_t, 8> shapes[] = {
       // cin, h, w, cout, kh, kw, stride, pad
       {3, 7, 7, 4, 3, 3, 1, 1},  {2, 9, 5, 3, 3, 3, 1, 0},
       {1, 8, 8, 2, 5, 5, 2, 2},  {4, 5, 5, 1, 1, 1, 1, 0},
       {3, 16, 16, 8, 3, 3, 1, 1}, {2, 7, 9, 3, 3, 1, 2, 1}};
   for (const auto& s : shapes) {
     for (bool relu : {false, true}) {
-      ExpectEngineParity([&](Rig& rig) -> Prepared {
-        uint32_t cin = s[0], h = s[1], w = s[2], cout = s[3];
-        uint32_t kh = s[4], kw = s[5], stride = s[6], pad = s[7];
-        uint32_t oh = (h + 2 * pad - kh) / stride + 1;
-        uint32_t ow = (w + 2 * pad - kw) / stride + 1;
-        size_t in_n = static_cast<size_t>(cin) * h * w;
-        size_t wt_n = static_cast<size_t>(cout) * cin * kh * kw;
-        size_t out_n = static_cast<size_t>(cout) * oh * ow;
-        uint64_t in = rig.Map((in_n * 4) / kPageSize + 1, {true, false, false});
-        uint64_t wt = rig.Map((wt_n * 4) / kPageSize + 1, {true, false, false});
-        uint64_t out =
-            rig.Map((out_n * 4) / kPageSize + 1, {true, true, false});
-        rig.WriteF32(in, TestData(in_n, h * 3 + w));
-        rig.WriteF32(wt, TestData(wt_n, cout * 13 + kh));
-        JobDescriptor d;
-        d.op = GpuOp::kConv2d;
-        if (relu) {
-          d.flags = kJobFlagReluFused;
-        }
-        d.input_va[0] = in;
-        d.aux_va = wt;
-        d.output_va = out;
-        d.params = {cin, h, w, cout, kh, kw, stride, pad};
-        return {rig.InstallJob(d), out, out_n * 4};
-      });
+      ExpectEngineParity(
+          [&](Rig& rig) { return ConvCase(rig, s, relu, TestData); });
     }
   }
 }
+
 
 TEST(KernelGolden, PoolShapes) {
   const uint32_t shapes[][5] = {// c, h, w, win, stride
@@ -299,26 +473,13 @@ TEST(KernelGolden, PoolShapes) {
                                 {2, 5, 7, 3, 1}};
   for (const auto& s : shapes) {
     for (GpuOp op : {GpuOp::kPoolMax, GpuOp::kPoolAvg}) {
-      ExpectEngineParity([&](Rig& rig) -> Prepared {
-        uint32_t c = s[0], h = s[1], w = s[2], win = s[3], stride = s[4];
-        uint32_t oh = (h - win) / stride + 1;
-        uint32_t ow = (w - win) / stride + 1;
-        size_t in_n = static_cast<size_t>(c) * h * w;
-        size_t out_n = static_cast<size_t>(c) * oh * ow;
-        uint64_t in = rig.Map((in_n * 4) / kPageSize + 1, {true, false, false});
-        uint64_t out =
-            rig.Map((out_n * 4) / kPageSize + 1, {true, true, false});
-        rig.WriteF32(in, TestData(in_n, c * 5 + win));
-        JobDescriptor d;
-        d.op = op;
-        d.input_va[0] = in;
-        d.output_va = out;
-        d.params = {c, h, w, win, stride, 0, 0, 0};
-        return {rig.InstallJob(d), out, out_n * 4};
+      ExpectEngineParity([&](Rig& rig) {
+        return PoolCase(rig, op, s[0], s[1], s[2], s[3], s[4], TestData);
       });
     }
   }
 }
+
 
 TEST(KernelGolden, BiasReluShapes) {
   const uint32_t shapes[][2] = {// count, bias_len
@@ -326,27 +487,13 @@ TEST(KernelGolden, BiasReluShapes) {
                                 {1, 1},  {1024, 16}, {0, 3}};
   for (const auto& s : shapes) {
     for (bool relu : {false, true}) {
-      ExpectEngineParity([&](Rig& rig) -> Prepared {
-        uint32_t count = s[0], bias_len = s[1];
-        uint64_t x = rig.Map(2, {true, false, false});
-        uint64_t b = rig.Map(1, {true, false, false});
-        uint64_t out = rig.Map(2, {true, true, false});
-        rig.WriteF32(x, TestData(count, count * 3));
-        rig.WriteF32(b, TestData(bias_len, bias_len + 41));
-        JobDescriptor d;
-        d.op = GpuOp::kBiasRelu;
-        if (relu) {
-          d.flags = kJobFlagReluFused;
-        }
-        d.input_va[0] = x;
-        d.aux_va = b;
-        d.output_va = out;
-        d.params = {count, bias_len, 0, 0, 0, 0, 0, 0};
-        return {rig.InstallJob(d), out, static_cast<uint64_t>(count) * 4};
+      ExpectEngineParity([&](Rig& rig) {
+        return BiasReluCase(rig, s[0], s[1], relu, TestData);
       });
     }
   }
 }
+
 
 TEST(KernelGolden, BiasReluBadShapeFaultParity) {
   // count < bias_len (nonzero): spatial would be 0 — both engines fault
@@ -370,42 +517,20 @@ TEST(KernelGolden, BiasReluBadShapeFaultParity) {
 TEST(KernelGolden, EltwiseAddOddCounts) {
   for (uint32_t count : {1u, 7u, 51u, 1025u}) {
     for (bool relu : {false, true}) {
-      ExpectEngineParity([&](Rig& rig) -> Prepared {
-        uint64_t a = rig.Map(2, {true, false, false});
-        uint64_t b = rig.Map(2, {true, false, false});
-        uint64_t out = rig.Map(2, {true, true, false});
-        rig.WriteF32(a, TestData(count, count));
-        rig.WriteF32(b, TestData(count, count + 1));
-        JobDescriptor d;
-        d.op = GpuOp::kEltwiseAdd;
-        if (relu) {
-          d.flags = kJobFlagReluFused;
-        }
-        d.input_va[0] = a;
-        d.input_va[1] = b;
-        d.output_va = out;
-        d.params = {count, 0, 0, 0, 0, 0, 0, 0};
-        return {rig.InstallJob(d), out, static_cast<uint64_t>(count) * 4};
-      });
+      ExpectEngineParity(
+          [&](Rig& rig) { return EltwiseAddCase(rig, count, relu, TestData); });
     }
   }
 }
 
+
 TEST(KernelGolden, SoftmaxCounts) {
   for (uint32_t count : {1u, 9u, 100u, 1000u}) {
-    ExpectEngineParity([&](Rig& rig) -> Prepared {
-      uint64_t x = rig.Map(1, {true, false, false});
-      uint64_t out = rig.Map(1, {true, true, false});
-      rig.WriteF32(x, TestData(count, count * 13));
-      JobDescriptor d;
-      d.op = GpuOp::kSoftmax;
-      d.input_va[0] = x;
-      d.output_va = out;
-      d.params = {count, 0, 0, 0, 0, 0, 0, 0};
-      return {rig.InstallJob(d), out, static_cast<uint64_t>(count) * 4};
-    });
+    ExpectEngineParity(
+        [&](Rig& rig) { return SoftmaxCase(rig, count, TestData); });
   }
 }
+
 
 TEST(KernelGolden, CopyAndFill) {
   for (uint32_t count : {1u, 13u, 2000u}) {
@@ -616,6 +741,157 @@ TEST(KernelGolden, ChainedJobsReuseArena) {
     uint64_t first = rig.InstallJob(fill, second);
     return {first, s, static_cast<uint64_t>(m) * n * 4};
   });
+}
+
+// ------------------------------------------------- special values, tails
+// Direct-conv shapes at the optimized kernel's register-tile tails: 2x2
+// and 4x4 outputs with pad 1, stride 2, channel counts of 1, 9, 10 and 12
+// against an 8-channel tile, 15 and 36 pixels against a 4-pixel tile,
+// kh != kw, 1x1 windows, and pixels whose whole window is padding.
+const std::array<uint32_t, 8> kConvTailShapes[] = {
+    // cin, h, w, cout, kh, kw, stride, pad
+    {3, 2, 2, 10, 3, 3, 1, 1}, {4, 4, 4, 12, 3, 3, 1, 1},
+    {5, 8, 8, 1, 3, 3, 2, 1},  {3, 7, 5, 10, 3, 1, 2, 1},
+    {2, 3, 3, 9, 2, 3, 2, 1},  {6, 5, 3, 12, 1, 1, 1, 0},
+    {2, 1, 1, 3, 3, 3, 1, 1},  {2, 4, 4, 5, 1, 1, 1, 1}};
+
+TEST(KernelGolden, Conv2dTileTailShapes) {
+  for (const auto& s : kConvTailShapes) {
+    for (bool relu : {false, true}) {
+      ExpectEngineParity(
+          [&](Rig& rig) { return ConvCase(rig, s, relu, TestData); });
+    }
+  }
+}
+
+TEST(KernelGolden, InfAndDenormalValues) {
+  for (bool relu : {false, true}) {
+    ExpectEngineParity([&](Rig& rig) {
+      return GemmCase(rig, 33, 17, 31, relu, false, InfDenormData);
+    });
+    ExpectEngineParity([&](Rig& rig) {
+      return GemmCase(rig, 37, 29, 1, relu, false, InfDenormData);
+    });
+    for (const auto& s : kConvTailShapes) {
+      ExpectEngineParity(
+          [&](Rig& rig) { return ConvCase(rig, s, relu, InfDenormData); });
+    }
+    ExpectEngineParity([&](Rig& rig) {
+      return BiasReluCase(rig, 1024, 16, relu, InfDenormData);
+    });
+    ExpectEngineParity(
+        [&](Rig& rig) { return EltwiseAddCase(rig, 1025, relu, InfDenormData); });
+  }
+  for (GpuOp op : {GpuOp::kPoolMax, GpuOp::kPoolAvg}) {
+    ExpectEngineParity([&](Rig& rig) {
+      return PoolCase(rig, op, 3, 7, 5, 3, 2, InfDenormData);
+    });
+  }
+  for (uint32_t count : {9u, 1000u}) {
+    ExpectEngineParity(
+        [&](Rig& rig) { return SoftmaxCase(rig, count, InfDenormData); });
+  }
+}
+
+TEST(KernelGolden, Conv2dInfWeightsOnPaddedTapsAreSkipped) {
+  // Every weight in kernel row ki = 0 is +-Inf. For output row 0 those
+  // taps lie in the top padding, which the reference skips, so that row
+  // stays finite; a kernel that multiplied padded zeros would get
+  // Inf * 0 = NaN there.
+  const std::array<uint32_t, 8> s = {2, 4, 4, 12, 3, 3, 1, 1};
+  std::vector<float> in = TestData(2 * 4 * 4, 5);
+  std::vector<float> wt = TestData(12 * 2 * 3 * 3, 6);
+  for (size_t i = 0; i < wt.size(); i += 9) {
+    for (size_t kj = 0; kj < 3; ++kj) {
+      wt[i + kj] = (i / 9 + kj) % 2 == 0
+                       ? std::numeric_limits<float>::infinity()
+                       : -std::numeric_limits<float>::infinity();
+    }
+  }
+  for (bool relu : {false, true}) {
+    const auto res = ExpectEngineParity(
+        [&](Rig& rig) { return ConvCase(rig, s, relu, in, wt); });
+    for (uint32_t co = 0; co < 12; ++co) {
+      for (uint32_t oj = 0; oj < 4; ++oj) {
+        EXPECT_TRUE(std::isfinite(FloatAt(res[0].out, co * 16 + oj)))
+            << "co " << co << " oj " << oj;
+      }
+    }
+  }
+}
+
+TEST(KernelGolden, NanValuesMatchUpToNanBits) {
+  size_t nans = 0;
+  for (bool relu : {false, true}) {
+    nans += ExpectEngineParityUpToNanBits([&](Rig& rig) {
+      return GemmCase(rig, 33, 17, 31, relu, false, NanData);
+    });
+    nans += ExpectEngineParityUpToNanBits([&](Rig& rig) {
+      return GemmCase(rig, 37, 29, 1, relu, false, NanData);
+    });
+    for (const auto& s : kConvTailShapes) {
+      nans += ExpectEngineParityUpToNanBits(
+          [&](Rig& rig) { return ConvCase(rig, s, relu, NanData); });
+    }
+    nans += ExpectEngineParityUpToNanBits([&](Rig& rig) {
+      return BiasReluCase(rig, 1024, 16, relu, NanData);
+    });
+    nans += ExpectEngineParityUpToNanBits(
+        [&](Rig& rig) { return EltwiseAddCase(rig, 1025, relu, NanData); });
+  }
+  for (GpuOp op : {GpuOp::kPoolMax, GpuOp::kPoolAvg}) {
+    nans += ExpectEngineParityUpToNanBits(
+        [&](Rig& rig) { return PoolCase(rig, op, 3, 7, 5, 3, 2, NanData); });
+  }
+  for (uint32_t count : {9u, 1000u}) {
+    nans += ExpectEngineParityUpToNanBits(
+        [&](Rig& rig) { return SoftmaxCase(rig, count, NanData); });
+  }
+  EXPECT_GT(nans, 0u) << "the NaN data never reached an output";
+}
+
+// A window wider than its padded input has no output position; the
+// unsigned output-size arithmetic would wrap. Both engines fault on the
+// descriptor instead. The operands are one mapped page each: no size is
+// derived from the shape.
+Prepared WindowJob(Rig& rig, GpuOp op, std::array<uint32_t, 8> params) {
+  uint64_t in = rig.Map(1, {true, false, false});
+  uint64_t wt = rig.Map(1, {true, false, false});
+  uint64_t out = rig.Map(1, {true, true, false});
+  rig.WriteF32(in, TestData(1, 3));
+  rig.WriteF32(wt, TestData(9, 4));
+  JobDescriptor d;
+  d.op = op;
+  d.input_va[0] = in;
+  d.aux_va = wt;
+  d.output_va = out;
+  d.params = params;
+  return {rig.InstallJob(d), 0, 0};
+}
+
+TEST(KernelGolden, Conv2dWindowExceedsInputFaultParity) {
+  // cin = h = w = 1 under an unpadded 3x3 window.
+  const auto res = ExpectEngineParity([](Rig& rig) {
+    return WindowJob(rig, GpuOp::kConv2d, {1, 1, 1, 1, 3, 3, 1, 0});
+  });
+  EXPECT_EQ(res[0].result.status.message(),
+            "conv window exceeds padded input");
+}
+
+TEST(KernelGolden, Im2ColWindowExceedsInputFaultParity) {
+  const auto res = ExpectEngineParity([](Rig& rig) {
+    return WindowJob(rig, GpuOp::kIm2Col, {1, 1, 1, 3, 3, 1, 0, 0});
+  });
+  EXPECT_EQ(res[0].result.status.message(),
+            "im2col window exceeds padded input");
+}
+
+TEST(KernelGolden, PoolWindowExceedsInputFaultParity) {
+  // A 3x3 max-pool window over a 1x1 input.
+  const auto res = ExpectEngineParity([](Rig& rig) {
+    return WindowJob(rig, GpuOp::kPoolMax, {1, 1, 1, 3, 1, 0, 0, 0});
+  });
+  EXPECT_EQ(res[0].result.status.message(), "pool window exceeds input");
 }
 
 }  // namespace

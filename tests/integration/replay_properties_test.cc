@@ -3,6 +3,10 @@
 // input independence) checked end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <set>
+
 #include "src/harness/experiment.h"
 #include "src/ml/reference.h"
 #include "src/record/replayer.h"
@@ -191,6 +195,161 @@ TEST(ReplayProperties, NormalWorldLockedOutDuringRecording) {
   EXPECT_TRUE(device.tzasc()
                   .ReadGpuRegister(World::kNormal, &device.gpu(), kRegGpuId)
                   .ok());
+}
+
+// --- Warm replays re-inject only the staged tensors that changed. ---------
+
+Status StageModel(Replayer* replayer, const NetworkDef& net,
+                  uint64_t param_seed) {
+  for (const TensorDef& t : net.tensors) {
+    if (t.kind == TensorKind::kParam) {
+      GRT_RETURN_IF_ERROR(replayer->StageTensor(
+          t.name, GenerateParams(net.name, t, param_seed)));
+    }
+  }
+  return OkStatus();
+}
+
+const TensorDef& LargestParam(const NetworkDef& net) {
+  const TensorDef* best = nullptr;
+  for (const TensorDef& t : net.tensors) {
+    if (t.kind == TensorKind::kParam &&
+        (best == nullptr || t.n_floats > best->n_floats)) {
+      best = &t;
+    }
+  }
+  return *best;
+}
+
+bool BitIdentical(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// Counts the bytes any write lands on a set of physical pages while it is
+// registered.
+class PageWriteCounter {
+ public:
+  PageWriteCounter(PhysicalMemory* mem, const std::vector<uint64_t>& pages)
+      : mem_(mem), pages_(pages.begin(), pages.end()) {
+    id_ = mem_->AddWriteObserver([this](uint64_t pa, uint64_t len) {
+      for (uint64_t p = PageAlignDown(pa); p < pa + len; p += kPageSize) {
+        if (pages_.count(p) > 0) {
+          bytes_ += std::min(pa + len, p + kPageSize) - std::max(pa, p);
+        }
+      }
+    });
+  }
+  ~PageWriteCounter() { mem_->RemoveWriteObserver(id_); }
+  PageWriteCounter(const PageWriteCounter&) = delete;
+  PageWriteCounter& operator=(const PageWriteCounter&) = delete;
+
+  uint64_t bytes() const { return bytes_; }
+
+ private:
+  PhysicalMemory* mem_;
+  std::set<uint64_t> pages_;
+  int id_ = 0;
+  uint64_t bytes_ = 0;
+};
+
+TEST(ReplayProperties, WarmReplayLeavesUnchangedWeightsUntouched) {
+  NetworkDef net = BuildMnist();
+  ClientDevice device(SkuId::kMaliG71Mp8, 97);
+  auto rec = Record(&device, net, "OursMDS");
+  ASSERT_TRUE(rec.ok());
+  Replayer replayer(&device.gpu(), &device.tzasc(), &device.mem(),
+                    &device.timeline());
+  ASSERT_TRUE(replayer.LoadSigned(rec->wire, rec->key).ok());
+  ASSERT_TRUE(StageModel(&replayer, net, 9).ok());
+  ASSERT_TRUE(
+      replayer.StageTensor(net.input_tensor, GenerateInput(net, 1)).ok());
+  ASSERT_TRUE(replayer.Replay().ok());
+
+  // A new input only: the weights' pages are clean and not restaged, so
+  // the warm replay must not write a byte to them.
+  const TensorDef& weights = LargestParam(net);
+  PageWriteCounter counter(
+      &device.mem(), replayer.recording().bindings.at(weights.name).pages);
+  ASSERT_TRUE(
+      replayer.StageTensor(net.input_tensor, GenerateInput(net, 2)).ok());
+  auto warm = replayer.Replay();
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_TRUE(warm->warm);
+  EXPECT_EQ(counter.bytes(), 0u) << weights.name;
+
+  auto out = replayer.ReadTensor(net.output_tensor);
+  ClientDevice fresh(SkuId::kMaliG71Mp8, 97);
+  auto want = ReplayOutput(&fresh, net, *rec, 9, 2);
+  ASSERT_TRUE(out.ok() && want.ok());
+  EXPECT_TRUE(BitIdentical(*out, *want));
+}
+
+TEST(ReplayProperties, WriteIntoWeightPageForcesReinjection) {
+  NetworkDef net = BuildMnist();
+  ClientDevice device(SkuId::kMaliG71Mp8, 101);
+  auto rec = Record(&device, net, "OursMDS");
+  ASSERT_TRUE(rec.ok());
+  Replayer replayer(&device.gpu(), &device.tzasc(), &device.mem(),
+                    &device.timeline());
+  ASSERT_TRUE(replayer.LoadSigned(rec->wire, rec->key).ok());
+  ASSERT_TRUE(StageModel(&replayer, net, 9).ok());
+  ASSERT_TRUE(
+      replayer.StageTensor(net.input_tensor, GenerateInput(net, 1)).ok());
+  ASSERT_TRUE(replayer.Replay().ok());
+
+  // Clobber the middle of one weight page between replays.
+  const TensorDef& weights = LargestParam(net);
+  const std::vector<uint64_t>& pages =
+      replayer.recording().bindings.at(weights.name).pages;
+  uint8_t junk[16];
+  std::memset(junk, 0x5C, sizeof(junk));
+  ASSERT_TRUE(
+      device.mem().Write(pages[pages.size() / 2] + 100, junk, sizeof(junk))
+          .ok());
+
+  PageWriteCounter counter(&device.mem(), pages);
+  ASSERT_TRUE(
+      replayer.StageTensor(net.input_tensor, GenerateInput(net, 2)).ok());
+  auto warm = replayer.Replay();
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_TRUE(warm->warm);
+  EXPECT_GT(counter.bytes(), 0u) << "the written tensor was not re-injected";
+
+  auto out = replayer.ReadTensor(net.output_tensor);
+  ClientDevice fresh(SkuId::kMaliG71Mp8, 101);
+  auto want = ReplayOutput(&fresh, net, *rec, 9, 2);
+  ASSERT_TRUE(out.ok() && want.ok());
+  EXPECT_TRUE(BitIdentical(*out, *want));
+}
+
+TEST(ReplayProperties, RestagedWeightsAreInjectedOnWarmReplay) {
+  NetworkDef net = BuildMnist();
+  ClientDevice device(SkuId::kMaliG71Mp8, 103);
+  auto rec = Record(&device, net, "OursMDS");
+  ASSERT_TRUE(rec.ok());
+  Replayer replayer(&device.gpu(), &device.tzasc(), &device.mem(),
+                    &device.timeline());
+  ASSERT_TRUE(replayer.LoadSigned(rec->wire, rec->key).ok());
+  ASSERT_TRUE(StageModel(&replayer, net, 9).ok());
+  ASSERT_TRUE(
+      replayer.StageTensor(net.input_tensor, GenerateInput(net, 1)).ok());
+  ASSERT_TRUE(replayer.Replay().ok());
+  auto before = replayer.ReadTensor(net.output_tensor);
+  ASSERT_TRUE(before.ok());
+
+  // New model, same input.
+  ASSERT_TRUE(StageModel(&replayer, net, 10).ok());
+  auto warm = replayer.Replay();
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_TRUE(warm->warm);
+
+  auto out = replayer.ReadTensor(net.output_tensor);
+  ClientDevice fresh(SkuId::kMaliG71Mp8, 103);
+  auto want = ReplayOutput(&fresh, net, *rec, 10, 1);
+  ASSERT_TRUE(out.ok() && want.ok());
+  EXPECT_TRUE(BitIdentical(*out, *want));
+  EXPECT_FALSE(BitIdentical(*out, *before));
 }
 
 }  // namespace

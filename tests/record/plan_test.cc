@@ -3,7 +3,7 @@
 // rules on hand-built logs; the dirty-page tests replay a synthetic
 // memory-only recording on a real rig and check the three invariants the
 // design argues for (DESIGN.md §6d): a clobbered page is re-applied, a
-// clean page is skipped, and staged tensors are always re-injected.
+// clean page is skipped, and a restaged tensor is always re-injected.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -273,8 +273,8 @@ TEST_F(DirtyTrackingTest, StagedTensorAlwaysReinjected) {
   ASSERT_TRUE(read1.ok());
   EXPECT_EQ((*read1)[0], 1.0f);
 
-  // Re-staging overwrites in place and the warm replay re-injects: the
-  // staged pages never ride the clean-page skip.
+  // Re-staging overwrites in place and the warm replay re-injects: a
+  // restaged tensor never rides the clean-page skip.
   std::vector<float> v2(kNFloats, 2.0f);
   ASSERT_TRUE(replayer.StageTensor("in", v2).ok());
   auto warm = replayer.Replay();
