@@ -191,7 +191,6 @@ Result<EngineRun> ReplayColdWarm(const RecordedNet& r, EngineMode mode) {
   ClientDevice device(kSku, kNondetSeed);
   ReplayConfig config;
   config.use_plan = mode != EngineMode::kInterp;
-  config.use_warm_program = mode == EngineMode::kFusedPlan;
   Replayer replayer(&device.gpu(), &device.tzasc(), &device.mem(),
                     &device.timeline(), config);
   if (mode == EngineMode::kFusedPlan) {
@@ -323,7 +322,6 @@ Result<KernelEngineRun> RunFusedWarmWall(const RecordedNet& r,
   device.gpu().SetKernelEngine(engine);
   ReplayConfig config;
   config.use_plan = true;
-  config.use_warm_program = true;
   Replayer replayer(&device.gpu(), &device.tzasc(), &device.mem(),
                     &device.timeline(), config);
   auto rec = std::make_shared<const Recording>(r.recording);

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Five-pass CI gate:
 #   1. normal build + full ctest (includes the chaos suite, run twice so
-#      the deterministic-recording acceptance covers two consecutive runs)
+#      the deterministic-recording acceptance covers two consecutive runs),
+#      then scripts/tcb_loc.sh prints the replay-side line count (reported,
+#      not gated)
 #   2. replay perf smoke gate: bench/replay_serving --smoke fails if a
 #      warm plan-based replay ever applies at least as many memory bytes
 #      as the interpreter, diverges from it bitwise, or the planopt-fused
@@ -69,6 +71,8 @@ run_pass "pass 1/5 (normal)" build-ci
 # whole suite a second time also proves determinism across runs.
 echo "=== pass 1/5: ctest (second run, determinism check) ==="
 ctest --test-dir build-ci -j "${JOBS}" --output-on-failure
+echo "=== pass 1/5: replay-side TCB line count ==="
+scripts/tcb_loc.sh
 
 echo "=== pass 2/5: replay perf smoke gate ==="
 cmake --build build-ci -j "${JOBS}" --target replay_serving

@@ -1,0 +1,24 @@
+#!/usr/bin/env bash
+# Prints the source line counts (.h + .cc) of the libraries the TEE-side
+# replayer is built from — the replay-side trusted code base — and their
+# total. ROADMAP.md tracks this number; it is reported, not gated.
+#
+# Usage: scripts/tcb_loc.sh
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+
+loc() { cat "$@" | wc -l; }
+
+analysis=$(loc src/analysis/*.h src/analysis/*.cc src/analysis/footprint/*)
+recfmt=$(loc src/record/{log,recording,diff}.{h,cc})
+record=$(loc src/record/{recorder,plan,replayer,layered,store}.{h,cc} \
+  src/analysis/planopt/*)
+tee=$(loc src/tee/*.{h,cc})
+
+printf '%-13s %6d  (verifier, footprint)\n' grt_analysis "${analysis}"
+printf '%-13s %6d  (log, container, diff)\n' grt_recfmt "${recfmt}"
+printf '%-13s %6d  (recorder, plan, replayer, layered, store, planopt)\n' \
+  grt_record "${record}"
+printf '%-13s %6d  (TZASC, session, SoC)\n' grt_tee "${tee}"
+printf '%-13s %6d\n' total $((analysis + recfmt + record + tee))

@@ -44,12 +44,11 @@
 namespace grt {
 
 // Builds a warm program for `plan`, proves it sound with
-// CheckWarmProgram, and attaches it (plan->version becomes 2). Also
-// marks patch-table entries eligible for direct readback (escape
-// analysis). Conservative: when the schedule contains structure the
-// analysis cannot prove (an unmatched GPU command, an unsupported poll,
-// a closure grammar miss — chaos recordings exercise all of these), the
-// plan is left untouched at version 1 and `reason` (optional) says why.
+// CheckWarmProgram, and attaches it (plan->version becomes 2).
+// Conservative: when the schedule contains structure the analysis cannot
+// prove (an unmatched GPU command, an unsupported poll, a closure grammar
+// miss — chaos recordings exercise all of these), the plan is left
+// untouched at version 1 and `reason` (optional) says why.
 // Returns non-OK only on an internal contradiction: the builder
 // produced a program its own checker rejects.
 Status AttachWarmProgram(ReplayPlan* plan, const GpuSku& sku,
@@ -65,7 +64,7 @@ Status AttachWarmProgram(ReplayPlan* plan, const GpuSku& sku,
 Status CheckWarmProgram(const ReplayPlan& plan, const WarmProgram& warm,
                         const GpuSku& sku);
 
-const char* WarmOpKindName(WarmOpKind kind);
+const char* PlanOpKindName(PlanOpKind kind);
 const char* PlanRewriteKindName(PlanRewriteKind kind);
 
 // Renders the fused schedule, the per-op provenance, and the

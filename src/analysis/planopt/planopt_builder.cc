@@ -66,7 +66,7 @@ bool BuildWarmProgram(const ReplayPlan& plan, const GpuSku& /*sku*/,
   // wins, resets modeled) — a retained device still holds it.
   LatchState exit_latch;
   for (const PlanOp& op : ops) {
-    if (op.kind == LogOp::kRegWrite) {
+    if (op.kind == PlanOpKind::kRegWrite) {
       exit_latch.Write(op.reg, op.value);
     }
   }
@@ -121,7 +121,7 @@ bool BuildWarmProgram(const ReplayPlan& plan, const GpuSku& /*sku*/,
       r.aux = static_cast<uint32_t>(closure_of[i]);
     } else {
       switch (op.kind) {
-        case LogOp::kRegRead: {
+        case PlanOpKind::kRegRead: {
           RegClass cls = ClassifyRegister(op.reg);
           if (op.verify && cls == RegClass::kConstant) {
             r.kind = PlanRewriteKind::kElideConstRead;
@@ -139,7 +139,7 @@ bool BuildWarmProgram(const ReplayPlan& plan, const GpuSku& /*sku*/,
           }
           break;
         }
-        case LogOp::kRegWrite: {
+        case PlanOpKind::kRegWrite: {
           if (ClassifyRegister(op.reg) == RegClass::kCpuConfig &&
               !WriteHasSideEffects(op.reg, op.value) &&
               !planopt::IsJobSlotRegister(op.reg) &&
@@ -155,7 +155,7 @@ bool BuildWarmProgram(const ReplayPlan& plan, const GpuSku& /*sku*/,
           }
           break;
         }
-        case LogOp::kIrqWait: {
+        case PlanOpKind::kIrqWait: {
           // The warm schedule must mask each waited line exactly as the
           // recorded schedule did at this point, else line assertion
           // could diverge.
@@ -183,7 +183,7 @@ bool BuildWarmProgram(const ReplayPlan& plan, const GpuSku& /*sku*/,
       }
     }
 
-    if (op.kind == LogOp::kRegWrite) {
+    if (op.kind == PlanOpKind::kRegWrite) {
       src_latch.Write(op.reg, op.value);
       if (!planopt::RewriteIsElision(r.kind)) {
         warm_latch.Write(op.reg, op.value);
@@ -207,13 +207,13 @@ bool BuildWarmProgram(const ReplayPlan& plan, const GpuSku& /*sku*/,
     if (planopt::RewriteIsElision(rewrites[i].kind)) {
       continue;
     }
-    if (op.kind == LogOp::kPollWait &&
+    if (op.kind == PlanOpKind::kPollWait &&
         (op.reg == kRegGpuIrqRawstat || op.reg == kRegGpuIrqStatus) &&
         (op.mask & owned) != 0) {
       return decline("retained poll at op " + std::to_string(i) +
                      " depends on elided interrupt bits");
     }
-    if (op.kind == LogOp::kIrqWait &&
+    if (op.kind == PlanOpKind::kIrqWait &&
         (op.irq_lines & planopt::kIrqLineGpu) != 0 && owned != 0) {
       return decline("retained GPU-line irq wait at op " + std::to_string(i) +
                      " with elided GPU interrupt sources");
@@ -224,7 +224,7 @@ bool BuildWarmProgram(const ReplayPlan& plan, const GpuSku& /*sku*/,
   // register writes at consecutive source indices into kRegSpan ops.
   WarmProgram warm;
   auto retained_write = [&](size_t i) {
-    return i < ops.size() && ops[i].kind == LogOp::kRegWrite &&
+    return i < ops.size() && ops[i].kind == PlanOpKind::kRegWrite &&
            rewrites[i].kind == PlanRewriteKind::kKeep;
   };
   for (size_t i = 0; i < ops.size();) {
@@ -238,11 +238,11 @@ bool BuildWarmProgram(const ReplayPlan& plan, const GpuSku& /*sku*/,
       while (retained_write(end)) {
         ++end;
       }
-      WarmOp wop;
-      wop.kind = WarmOpKind::kRegSpan;
-      wop.span_begin = static_cast<uint32_t>(warm.span_writes.size());
-      wop.span_len = static_cast<uint32_t>(end - i);
-      wop.src_index = static_cast<uint32_t>(i);
+      PlanOp span;
+      span.kind = PlanOpKind::kRegSpan;
+      span.span_begin = static_cast<uint32_t>(warm.span_writes.size());
+      span.span_len = static_cast<uint32_t>(end - i);
+      span.log_index = op.log_index;
       uint32_t warm_index = static_cast<uint32_t>(warm.ops.size());
       for (size_t j = i; j < end; ++j) {
         warm.span_writes.push_back(RegSpanWrite{
@@ -251,48 +251,16 @@ bool BuildWarmProgram(const ReplayPlan& plan, const GpuSku& /*sku*/,
         rewrites[j].warm_index = warm_index;
         rewrites[j].aux = static_cast<uint32_t>(j - i);
       }
-      warm.ops.push_back(wop);
+      warm.ops.push_back(span);
       i = end;
       continue;
     }
-    WarmOp wop;
-    switch (op.kind) {
-      case LogOp::kMemPage:
-        wop.kind = WarmOpKind::kMemPage;
-        wop.image = op.image;
-        break;
-      case LogOp::kRegWrite:
-        wop.kind = WarmOpKind::kRegWrite;
-        wop.reg = op.reg;
-        wop.value = op.value;
-        break;
-      case LogOp::kRegRead:
-        wop.kind = WarmOpKind::kRegRead;
-        wop.reg = op.reg;
-        wop.value = op.value;
-        wop.verify = op.verify;
-        if (rewrites[i].kind == PlanRewriteKind::kMaskWeaken) {
-          wop.verify_mask = ~rewrites[i].aux;
-        }
-        break;
-      case LogOp::kPollWait:
-        wop.kind = WarmOpKind::kPollWait;
-        wop.reg = op.reg;
-        wop.mask = op.mask;
-        wop.expected = op.expected;
-        break;
-      case LogOp::kDelay:
-        wop.kind = WarmOpKind::kDelay;
-        wop.delay = op.delay;
-        break;
-      case LogOp::kIrqWait:
-        wop.kind = WarmOpKind::kIrqWait;
-        wop.irq_lines = op.irq_lines;
-        break;
+    PlanOp kept = op;
+    if (rewrites[i].kind == PlanRewriteKind::kMaskWeaken) {
+      kept.verify_mask = ~rewrites[i].aux;
     }
-    wop.src_index = static_cast<uint32_t>(i);
     rewrites[i].warm_index = static_cast<uint32_t>(warm.ops.size());
-    warm.ops.push_back(wop);
+    warm.ops.push_back(kept);
     ++i;
   }
 
@@ -302,7 +270,7 @@ bool BuildWarmProgram(const ReplayPlan& plan, const GpuSku& /*sku*/,
   WarmStats& st = warm.stats;
   for (size_t i = 0; i < ops.size(); ++i) {
     const PlanRewrite& r = rewrites[i];
-    bool invariant = i < first_start || ops[i].kind == LogOp::kMemPage;
+    bool invariant = i < first_start || ops[i].kind == PlanOpKind::kMemPage;
     ++(invariant ? st.invariant_ops : st.input_dep_ops);
     switch (r.kind) {
       case PlanRewriteKind::kKeep:
@@ -349,8 +317,8 @@ bool BuildWarmProgram(const ReplayPlan& plan, const GpuSku& /*sku*/,
     }
   }
   st.retained_ops = static_cast<uint32_t>(warm.ops.size());
-  for (const WarmOp& wop : warm.ops) {
-    st.fused_spans += wop.kind == WarmOpKind::kRegSpan ? 1 : 0;
+  for (const PlanOp& wop : warm.ops) {
+    st.fused_spans += wop.kind == PlanOpKind::kRegSpan ? 1 : 0;
   }
   warm.owned_gpu_irq_bits = owned;
 
@@ -373,14 +341,6 @@ Status AttachWarmProgram(ReplayPlan* plan, const GpuSku& sku,
       *reason = why;
     }
     return OkStatus();
-  }
-
-  // Escape analysis over the patch table: a complete chunk table copies
-  // bitwise what the interpreter's page walk copies, so readback may
-  // target the caller's buffer directly.
-  for (auto& [name, patch] : plan->patches) {
-    patch.direct_readback = patch.complete && !patch.chunks.empty();
-    warm->stats.direct_readback_tensors += patch.direct_readback ? 1 : 0;
   }
 
   // The builder is not trusted: the independent checker must accept the

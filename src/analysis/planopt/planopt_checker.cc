@@ -67,44 +67,29 @@ std::optional<ClosureKind> ClosureKindOfRewrite(PlanRewriteKind kind) {
   }
 }
 
-WarmOpKind ExpectedWarmKind(LogOp kind) {
-  switch (kind) {
-    case LogOp::kMemPage:
-      return WarmOpKind::kMemPage;
-    case LogOp::kRegWrite:
-      return WarmOpKind::kRegWrite;
-    case LogOp::kRegRead:
-      return WarmOpKind::kRegRead;
-    case LogOp::kPollWait:
-      return WarmOpKind::kPollWait;
-    case LogOp::kDelay:
-      return WarmOpKind::kDelay;
-    case LogOp::kIrqWait:
-      return WarmOpKind::kIrqWait;
-  }
-  return WarmOpKind::kRegWrite;
-}
-
-// Field-for-field match between a retained source op and its warm op.
-bool WarmOpMatches(const PlanOp& op, const WarmOp& wop, uint32_t src_index) {
-  if (wop.kind != ExpectedWarmKind(op.kind) || wop.src_index != src_index) {
+// Field-for-field match between a retained source op and its warm op
+// (the verify mask is the caller's to check).
+bool WarmOpMatches(const PlanOp& op, const PlanOp& wop) {
+  if (wop.kind != op.kind || wop.log_index != op.log_index) {
     return false;
   }
   switch (op.kind) {
-    case LogOp::kMemPage:
+    case PlanOpKind::kMemPage:
       return wop.image == op.image;
-    case LogOp::kRegWrite:
+    case PlanOpKind::kRegWrite:
       return wop.reg == op.reg && wop.value == op.value;
-    case LogOp::kRegRead:
+    case PlanOpKind::kRegRead:
       return wop.reg == op.reg && wop.value == op.value &&
              wop.verify == op.verify;
-    case LogOp::kPollWait:
+    case PlanOpKind::kPollWait:
       return wop.reg == op.reg && wop.mask == op.mask &&
              wop.expected == op.expected;
-    case LogOp::kDelay:
+    case PlanOpKind::kDelay:
       return wop.delay == op.delay;
-    case LogOp::kIrqWait:
+    case PlanOpKind::kIrqWait:
       return wop.irq_lines == op.irq_lines;
+    case PlanOpKind::kRegSpan:
+      return false;  // a compiled plan never carries spans
   }
   return false;
 }
@@ -126,8 +111,8 @@ Status CheckWarmProgram(const ReplayPlan& plan, const WarmProgram& warm,
     return IntegrityViolation("planopt soundness: empty warm schedule");
   }
   for (size_t w = 0; w < warm.ops.size(); ++w) {
-    const WarmOp& wop = warm.ops[w];
-    if (wop.kind == WarmOpKind::kRegSpan) {
+    const PlanOp& wop = warm.ops[w];
+    if (wop.kind == PlanOpKind::kRegSpan) {
       if (wop.span_len < 2 ||
           static_cast<size_t>(wop.span_begin) + wop.span_len >
               warm.span_writes.size()) {
@@ -135,7 +120,7 @@ Status CheckWarmProgram(const ReplayPlan& plan, const WarmProgram& warm,
                                   std::to_string(w) +
                                   ": malformed register span");
       }
-    } else if (wop.kind == WarmOpKind::kMemPage &&
+    } else if (wop.kind == PlanOpKind::kMemPage &&
                wop.image >= plan.mid_images.size()) {
       return IntegrityViolation("planopt soundness: warm op " +
                                 std::to_string(w) +
@@ -168,7 +153,7 @@ Status CheckWarmProgram(const ReplayPlan& plan, const WarmProgram& warm,
   // Warm-entry latch state (source exit, last write wins).
   LatchState exit_latch;
   for (const PlanOp& op : ops) {
-    if (op.kind == LogOp::kRegWrite) {
+    if (op.kind == PlanOpKind::kRegWrite) {
       exit_latch.Write(op.reg, op.value);
     }
   }
@@ -208,7 +193,7 @@ Status CheckWarmProgram(const ReplayPlan& plan, const WarmProgram& warm,
     const PlanOp& op = ops[i];
     const PlanRewrite& r = prov.rewrites[i];
     const bool elided = RewriteIsElision(r.kind);
-    const bool invariant = i < first_start || op.kind == LogOp::kMemPage;
+    const bool invariant = i < first_start || op.kind == PlanOpKind::kMemPage;
     ++(invariant ? re.invariant_ops : re.input_dep_ops);
 
     switch (r.kind) {
@@ -220,24 +205,24 @@ Status CheckWarmProgram(const ReplayPlan& plan, const WarmProgram& warm,
           return CheckFail(i, "retained ops out of warm-schedule order");
         }
         last_warm = r.warm_index;
-        const WarmOp& wop = warm.ops[r.warm_index];
-        if (!WarmOpMatches(op, wop, static_cast<uint32_t>(i))) {
+        const PlanOp& wop = warm.ops[r.warm_index];
+        if (!WarmOpMatches(op, wop)) {
           return CheckFail(i, "warm op content does not match source op");
         }
-        if (op.kind == LogOp::kRegRead && wop.verify_mask != 0xFFFFFFFFu) {
+        if (op.kind == PlanOpKind::kRegRead && wop.verify_mask != 0xFFFFFFFFu) {
           return CheckFail(i, "kept read carries a weakened verify mask");
         }
         break;
       }
       case PlanRewriteKind::kFuseSpan: {
-        if (op.kind != LogOp::kRegWrite) {
+        if (op.kind != PlanOpKind::kRegWrite) {
           return CheckFail(i, "non-write fused into a register span");
         }
         if (r.warm_index >= warm.ops.size() ||
-            warm.ops[r.warm_index].kind != WarmOpKind::kRegSpan) {
+            warm.ops[r.warm_index].kind != PlanOpKind::kRegSpan) {
           return CheckFail(i, "span member points at a non-span warm op");
         }
-        const WarmOp& wop = warm.ops[r.warm_index];
+        const PlanOp& wop = warm.ops[r.warm_index];
         if (r.aux >= wop.span_len) {
           return CheckFail(i, "span member ordinal out of range");
         }
@@ -246,8 +231,8 @@ Status CheckWarmProgram(const ReplayPlan& plan, const WarmProgram& warm,
             return CheckFail(i, "retained ops out of warm-schedule order");
           }
           last_warm = r.warm_index;
-          if (wop.src_index != i) {
-            return CheckFail(i, "span src_index does not name first member");
+          if (wop.log_index != op.log_index) {
+            return CheckFail(i, "span log index does not name first member");
           }
         } else {
           // Consecutive source indices, order preserved: member k must
@@ -270,7 +255,7 @@ Status CheckWarmProgram(const ReplayPlan& plan, const WarmProgram& warm,
         break;
       }
       case PlanRewriteKind::kMaskWeaken: {
-        if (op.kind != LogOp::kRegRead || !op.verify ||
+        if (op.kind != PlanOpKind::kRegRead || !op.verify ||
             (op.reg != kRegGpuIrqRawstat && op.reg != kRegGpuIrqStatus)) {
           return CheckFail(i, "mask weakening on a non-GPU-IRQ read");
         }
@@ -282,8 +267,8 @@ Status CheckWarmProgram(const ReplayPlan& plan, const WarmProgram& warm,
           return CheckFail(i, "retained ops out of warm-schedule order");
         }
         last_warm = r.warm_index;
-        const WarmOp& wop = warm.ops[r.warm_index];
-        if (!WarmOpMatches(op, wop, static_cast<uint32_t>(i)) ||
+        const PlanOp& wop = warm.ops[r.warm_index];
+        if (!WarmOpMatches(op, wop) ||
             wop.verify_mask != ~owned) {
           return CheckFail(i, "weakened warm read does not match source op");
         }
@@ -293,7 +278,7 @@ Status CheckWarmProgram(const ReplayPlan& plan, const WarmProgram& warm,
       case PlanRewriteKind::kElideConstRead: {
         RegClass cls = ClassifyRegister(op.reg);
         bool statically_determined =
-            op.kind == LogOp::kRegRead && op.verify &&
+            op.kind == PlanOpKind::kRegRead && op.verify &&
             (cls == RegClass::kConstant ||
              (cls == RegClass::kCpuConfig &&
               op.value == src_latch.Get(op.reg)));
@@ -305,7 +290,7 @@ Status CheckWarmProgram(const ReplayPlan& plan, const WarmProgram& warm,
         break;
       }
       case PlanRewriteKind::kElideNondetRead: {
-        if (op.kind != LogOp::kRegRead || op.verify ||
+        if (op.kind != PlanOpKind::kRegRead || op.verify ||
             !IsReadIdempotentRegister(op.reg)) {
           return CheckFail(i, "read is verified or not read-idempotent");
         }
@@ -314,7 +299,7 @@ Status CheckWarmProgram(const ReplayPlan& plan, const WarmProgram& warm,
         break;
       }
       case PlanRewriteKind::kElideNoopLatch: {
-        if (op.kind != LogOp::kRegWrite ||
+        if (op.kind != PlanOpKind::kRegWrite ||
             ClassifyRegister(op.reg) != RegClass::kCpuConfig ||
             WriteHasSideEffects(op.reg, op.value) ||
             op.value != warm_latch.Get(op.reg)) {
@@ -341,17 +326,19 @@ Status CheckWarmProgram(const ReplayPlan& plan, const WarmProgram& warm,
         ++it->second.members;
         // Elided reads and polls must be side-effect-free on the
         // device; waits and pages are never closure members.
-        if ((op.kind == LogOp::kRegRead || op.kind == LogOp::kPollWait) &&
+        if ((op.kind == PlanOpKind::kRegRead ||
+             op.kind == PlanOpKind::kPollWait) &&
             !IsReadIdempotentRegister(op.reg)) {
           return CheckFail(i, "elided closure member is not read-idempotent");
         }
-        if (op.kind == LogOp::kIrqWait || op.kind == LogOp::kMemPage) {
+        if (op.kind == PlanOpKind::kIrqWait ||
+            op.kind == PlanOpKind::kMemPage) {
           return CheckFail(i, "irq wait / mem page inside an elided closure");
         }
         // AS closures must be architectural no-ops at the warm entry
         // state: latch re-writes of the latched values and an UPDATE
         // re-latching the already-active root.
-        if (*ck == ClosureKind::kAs && op.kind == LogOp::kRegWrite) {
+        if (*ck == ClosureKind::kAs && op.kind == PlanOpKind::kRegWrite) {
           int as_index = -1;
           uint32_t as_reg = 0;
           if (!planopt::DecodeAsRegister(op.reg, &as_index, &as_reg)) {
@@ -378,18 +365,18 @@ Status CheckWarmProgram(const ReplayPlan& plan, const WarmProgram& warm,
 
     // ------------------------------------ (D) retained-observer isolation
     if (!elided) {
-      if (op.kind == LogOp::kRegRead && op.verify &&
+      if (op.kind == PlanOpKind::kRegRead && op.verify &&
           (op.reg == kRegGpuIrqRawstat || op.reg == kRegGpuIrqStatus) &&
           r.kind != PlanRewriteKind::kMaskWeaken && owned != 0) {
         return CheckFail(i, "retained GPU-IRQ read not weakened against "
                             "owned bits");
       }
-      if (op.kind == LogOp::kPollWait &&
+      if (op.kind == PlanOpKind::kPollWait &&
           (op.reg == kRegGpuIrqRawstat || op.reg == kRegGpuIrqStatus) &&
           (op.mask & owned) != 0) {
         return CheckFail(i, "retained poll depends on owned interrupt bits");
       }
-      if (op.kind == LogOp::kIrqWait) {
+      if (op.kind == PlanOpKind::kIrqWait) {
         if ((op.irq_lines & planopt::kIrqLineGpu) != 0 && owned != 0) {
           return CheckFail(i, "retained GPU-line wait with owned bits");
         }
@@ -420,7 +407,7 @@ Status CheckWarmProgram(const ReplayPlan& plan, const WarmProgram& warm,
           pending_ack_slot = last_started_slot;
         }
       }
-      if (op.kind == LogOp::kRegWrite) {
+      if (op.kind == PlanOpKind::kRegWrite) {
         int slot = -1;
         if (planopt::IsJobStartWrite(op, &slot)) {
           if (pending_ack_slot >= 0) {
@@ -440,7 +427,7 @@ Status CheckWarmProgram(const ReplayPlan& plan, const WarmProgram& warm,
       }
     }
 
-    if (op.kind == LogOp::kRegWrite) {
+    if (op.kind == PlanOpKind::kRegWrite) {
       src_latch.Write(op.reg, op.value);
       if (!elided) {
         warm_latch.Write(op.reg, op.value);
@@ -455,7 +442,7 @@ Status CheckWarmProgram(const ReplayPlan& plan, const WarmProgram& warm,
         std::to_string(warm.ops.size()) + " claimed)");
   }
   for (size_t w = 0; w < warm.ops.size(); ++w) {
-    if (warm.ops[w].kind == WarmOpKind::kRegSpan &&
+    if (warm.ops[w].kind == PlanOpKind::kRegSpan &&
         span_members[w] != warm.ops[w].span_len) {
       return IntegrityViolation("planopt soundness: warm op " +
                                 std::to_string(w) + " claims " +
@@ -501,8 +488,8 @@ Status CheckWarmProgram(const ReplayPlan& plan, const WarmProgram& warm,
 
   // ---------------------------------------------------- (G) stats recount
   re.retained_ops = static_cast<uint32_t>(warm.ops.size());
-  for (const WarmOp& wop : warm.ops) {
-    re.fused_spans += wop.kind == WarmOpKind::kRegSpan ? 1 : 0;
+  for (const PlanOp& wop : warm.ops) {
+    re.fused_spans += wop.kind == PlanOpKind::kRegSpan ? 1 : 0;
   }
   for (const auto& [id, claim] : closures) {
     switch (claim.kind) {
@@ -519,9 +506,6 @@ Status CheckWarmProgram(const ReplayPlan& plan, const WarmProgram& warm,
         ++re.elided_as_closures;
         break;
     }
-  }
-  for (const auto& [name, patch] : plan.patches) {
-    re.direct_readback_tensors += patch.direct_readback ? 1 : 0;
   }
   const WarmStats& st = warm.stats;
   struct FieldCheck {
@@ -546,8 +530,6 @@ Status CheckWarmProgram(const ReplayPlan& plan, const WarmProgram& warm,
       {"elided_ops", st.elided_ops, re.elided_ops},
       {"invariant_ops", st.invariant_ops, re.invariant_ops},
       {"input_dep_ops", st.input_dep_ops, re.input_dep_ops},
-      {"direct_readback_tensors", st.direct_readback_tensors,
-       re.direct_readback_tensors},
   };
   for (const FieldCheck& f : fields) {
     if (f.claimed != f.derived) {

@@ -9,21 +9,21 @@
 
 namespace grt {
 
-const char* WarmOpKindName(WarmOpKind kind) {
+const char* PlanOpKindName(PlanOpKind kind) {
   switch (kind) {
-    case WarmOpKind::kMemPage:
+    case PlanOpKind::kMemPage:
       return "mem_page";
-    case WarmOpKind::kRegWrite:
+    case PlanOpKind::kRegWrite:
       return "reg_write";
-    case WarmOpKind::kRegRead:
+    case PlanOpKind::kRegRead:
       return "reg_read";
-    case WarmOpKind::kPollWait:
+    case PlanOpKind::kPollWait:
       return "poll_wait";
-    case WarmOpKind::kDelay:
+    case PlanOpKind::kDelay:
       return "delay";
-    case WarmOpKind::kIrqWait:
+    case PlanOpKind::kIrqWait:
       return "irq_wait";
-    case WarmOpKind::kRegSpan:
+    case PlanOpKind::kRegSpan:
       return "reg_span";
   }
   return "?";
@@ -64,51 +64,47 @@ std::string Hex(uint32_t v) {
 }
 
 void AppendWarmOpText(const WarmProgram& warm, size_t w, std::string* out) {
-  const WarmOp& op = warm.ops[w];
+  const PlanOp& op = warm.ops[w];
   char head[64];
-  std::snprintf(head, sizeof(head), "  [%4zu] %-9s ", w, WarmOpKindName(op.kind));
+  std::snprintf(head, sizeof(head), "  [%4zu] %-9s ", w,
+                PlanOpKindName(op.kind));
   *out += head;
   switch (op.kind) {
-    case WarmOpKind::kRegWrite:
-      *out += std::string(RegisterName(op.reg)) + " = " + Hex(op.value) +
-              "  (src " + std::to_string(op.src_index) + ")";
+    case PlanOpKind::kRegWrite:
+      *out += std::string(RegisterName(op.reg)) + " = " + Hex(op.value);
       break;
-    case WarmOpKind::kRegRead:
+    case PlanOpKind::kRegRead:
       *out += std::string(RegisterName(op.reg)) + " == " + Hex(op.value);
       if (!op.verify) {
         *out += "  unverified";
       } else if (op.verify_mask != 0xFFFFFFFFu) {
         *out += "  mask " + Hex(op.verify_mask);
       }
-      *out += "  (src " + std::to_string(op.src_index) + ")";
       break;
-    case WarmOpKind::kPollWait:
+    case PlanOpKind::kPollWait:
       *out += std::string(RegisterName(op.reg)) + " & " + Hex(op.mask) +
-              " == " + Hex(op.expected) + "  (src " +
-              std::to_string(op.src_index) + ")";
+              " == " + Hex(op.expected);
       break;
-    case WarmOpKind::kDelay:
-      *out += std::to_string(op.delay) + "ns  (src " +
-              std::to_string(op.src_index) + ")";
+    case PlanOpKind::kDelay:
+      *out += std::to_string(op.delay) + "ns";
       break;
-    case WarmOpKind::kIrqWait:
-      *out += "lines " + Hex(op.irq_lines) + "  (src " +
-              std::to_string(op.src_index) + ")";
+    case PlanOpKind::kIrqWait:
+      *out += "lines " + Hex(op.irq_lines);
       break;
-    case WarmOpKind::kMemPage:
-      *out += "mid image " + std::to_string(op.image) + "  (src " +
-              std::to_string(op.src_index) + ")";
+    case PlanOpKind::kMemPage:
+      *out += "mid image " + std::to_string(op.image);
       break;
-    case WarmOpKind::kRegSpan:
-      *out += "x" + std::to_string(op.span_len) + "  (src " +
-              std::to_string(op.src_index) + ".." +
-              std::to_string(op.src_index + op.span_len - 1) + ")";
-      for (uint32_t k = 0; k < op.span_len; ++k) {
-        const RegSpanWrite& sw = warm.span_writes[op.span_begin + k];
-        *out += "\n            " + std::string(RegisterName(sw.reg)) + " = " +
-                Hex(sw.value);
-      }
+    case PlanOpKind::kRegSpan:
+      *out += "x" + std::to_string(op.span_len);
       break;
+  }
+  *out += "  (log " + std::to_string(op.log_index) + ")";
+  if (op.kind == PlanOpKind::kRegSpan) {
+    for (uint32_t k = 0; k < op.span_len; ++k) {
+      const RegSpanWrite& sw = warm.span_writes[op.span_begin + k];
+      *out += "\n            " + std::string(RegisterName(sw.reg)) + " = " +
+              Hex(sw.value);
+    }
   }
   *out += "\n";
 }
@@ -125,15 +121,14 @@ std::string FormatText(const ReplayPlan& plan) {
                 "  partition: %u warm-invariant, %u input-dependent\n"
                 "  closures elided: %u flush, %u power, %u reset, %u as\n"
                 "  reads elided: %u const, %u nondet; noop latches %u; "
-                "weakened reads %u\n"
-                "  direct-readback tensors: %u\n\n",
+                "weakened reads %u\n\n",
                 plan.version, plan.ops.size(), st.retained_ops, st.fused_spans,
                 st.fused_writes, st.elided_ops, st.invariant_ops,
                 st.input_dep_ops, st.elided_flush_closures,
                 st.elided_power_closures, st.elided_reset_closures,
                 st.elided_as_closures, st.elided_const_reads,
                 st.elided_nondet_reads, st.elided_noop_latches,
-                st.weakened_reads, st.direct_readback_tensors);
+                st.weakened_reads);
   out += buf;
   out += "fused schedule:\n";
   for (size_t w = 0; w < warm.ops.size(); ++w) {
@@ -145,8 +140,8 @@ std::string FormatText(const ReplayPlan& plan) {
     std::snprintf(buf, sizeof(buf), "  [src %4u] %-19s", r.src_index,
                   PlanRewriteKindName(r.kind));
     out += buf;
-    if (op.kind == LogOp::kRegWrite || op.kind == LogOp::kRegRead ||
-        op.kind == LogOp::kPollWait) {
+    if (op.kind == PlanOpKind::kRegWrite || op.kind == PlanOpKind::kRegRead ||
+        op.kind == PlanOpKind::kPollWait) {
       out += " ";
       out += RegisterName(op.reg);
     }
@@ -202,23 +197,22 @@ std::string FormatJson(const ReplayPlan& plan) {
   field("elided_nondet_reads", st.elided_nondet_reads);
   field("elided_noop_latches", st.elided_noop_latches);
   field("weakened_reads", st.weakened_reads);
-  field("direct_readback_tensors", st.direct_readback_tensors);
   out += "\n  },\n  \"ops\": [";
   for (size_t w = 0; w < warm.ops.size(); ++w) {
-    const WarmOp& op = warm.ops[w];
+    const PlanOp& op = warm.ops[w];
     out += w == 0 ? "\n" : ",\n";
     out += "    {\"kind\": \"";
-    out += WarmOpKindName(op.kind);
-    out += "\", \"src\": " + std::to_string(op.src_index);
-    if (op.kind == WarmOpKind::kRegSpan) {
+    out += PlanOpKindName(op.kind);
+    out += "\", \"log\": " + std::to_string(op.log_index);
+    if (op.kind == PlanOpKind::kRegSpan) {
       out += ", \"span_len\": " + std::to_string(op.span_len);
-    } else if (op.kind == WarmOpKind::kRegWrite ||
-               op.kind == WarmOpKind::kRegRead ||
-               op.kind == WarmOpKind::kPollWait) {
+    } else if (op.kind == PlanOpKind::kRegWrite ||
+               op.kind == PlanOpKind::kRegRead ||
+               op.kind == PlanOpKind::kPollWait) {
       out += ", \"reg\": \"";
       out += RegisterName(op.reg);
       out += "\"";
-      if (op.kind == WarmOpKind::kRegRead && op.verify &&
+      if (op.kind == PlanOpKind::kRegRead && op.verify &&
           op.verify_mask != 0xFFFFFFFFu) {
         out += ", \"verify_mask\": " + std::to_string(op.verify_mask);
       }

@@ -36,7 +36,8 @@ bool IsJobStartWrite(uint32_t reg, uint32_t value, int* slot) {
 }
 
 bool IsJobStartWrite(const PlanOp& op, int* slot) {
-  return op.kind == LogOp::kRegWrite && IsJobStartWrite(op.reg, op.value, slot);
+  return op.kind == PlanOpKind::kRegWrite &&
+         IsJobStartWrite(op.reg, op.value, slot);
 }
 
 bool IsJobSlotRegister(uint32_t reg) {
@@ -86,8 +87,8 @@ namespace {
 
 bool IsAsLatchWrite(const PlanOp& op, int* as_index) {
   uint32_t as_reg = 0;
-  if (op.kind != LogOp::kRegWrite || !DecodeAsRegister(op.reg, as_index,
-                                                       &as_reg)) {
+  if (op.kind != PlanOpKind::kRegWrite ||
+      !DecodeAsRegister(op.reg, as_index, &as_reg)) {
     return false;
   }
   switch (as_reg) {
@@ -104,18 +105,18 @@ bool IsAsLatchWrite(const PlanOp& op, int* as_index) {
 }
 
 bool IsGpuIrqAckWrite(const PlanOp& op, uint32_t allowed_bits) {
-  return op.kind == LogOp::kRegWrite && op.reg == kRegGpuIrqClear &&
+  return op.kind == PlanOpKind::kRegWrite && op.reg == kRegGpuIrqClear &&
          (op.value & ~allowed_bits) == 0;
 }
 
 bool IsGpuIrqPoll(const PlanOp& op, uint32_t allowed_bits) {
-  return op.kind == LogOp::kPollWait && op.reg == kRegGpuIrqRawstat &&
+  return op.kind == PlanOpKind::kPollWait && op.reg == kRegGpuIrqRawstat &&
          (op.mask & ~allowed_bits) == 0 && op.expected == op.mask;
 }
 
 std::optional<Closure> MatchFlushAt(const std::vector<PlanOp>& ops, size_t i) {
   const PlanOp& first = ops[i];
-  if (first.kind != LogOp::kRegWrite || first.reg != kRegGpuCommand ||
+  if (first.kind != PlanOpKind::kRegWrite || first.reg != kRegGpuCommand ||
       ClassifyGpuCommand(first.value) != GpuCommandKind::kCacheFlush) {
     return std::nullopt;
   }
@@ -124,8 +125,8 @@ std::optional<Closure> MatchFlushAt(const std::vector<PlanOp>& ops, size_t i) {
     const PlanOp& op = ops[j];
     bool member = IsGpuIrqPoll(op, kGpuIrqCleanCachesCompleted) ||
                   IsGpuIrqAckWrite(op, kGpuIrqCleanCachesCompleted) ||
-                  op.kind == LogOp::kDelay ||
-                  (op.kind == LogOp::kRegRead && !op.verify &&
+                  op.kind == PlanOpKind::kDelay ||
+                  (op.kind == PlanOpKind::kRegRead && !op.verify &&
                    op.reg == kRegLatestFlush);
     if (!member) {
       break;
@@ -140,11 +141,11 @@ std::optional<Closure> MatchResetAt(const std::vector<PlanOp>& ops, size_t i) {
   // reset command (they only matter because the reset they precede
   // clobbers them; the grammar binds them to it).
   size_t j = i;
-  while (j < ops.size() && ops[j].kind == LogOp::kRegWrite &&
+  while (j < ops.size() && ops[j].kind == PlanOpKind::kRegWrite &&
          (ops[j].reg == kRegGpuIrqClear || ops[j].reg == kRegGpuIrqMask)) {
     ++j;
   }
-  if (j >= ops.size() || ops[j].kind != LogOp::kRegWrite ||
+  if (j >= ops.size() || ops[j].kind != PlanOpKind::kRegWrite ||
       ops[j].reg != kRegGpuCommand) {
     return std::nullopt;
   }
@@ -157,7 +158,7 @@ std::optional<Closure> MatchResetAt(const std::vector<PlanOp>& ops, size_t i) {
     const PlanOp& op = ops[j];
     bool member = IsGpuIrqPoll(op, kGpuIrqResetCompleted) ||
                   IsGpuIrqAckWrite(op, kGpuIrqResetCompleted) ||
-                  op.kind == LogOp::kDelay;
+                  op.kind == PlanOpKind::kDelay;
     if (!member) {
       break;
     }
@@ -168,7 +169,7 @@ std::optional<Closure> MatchResetAt(const std::vector<PlanOp>& ops, size_t i) {
 
 std::optional<Closure> MatchPowerAt(const std::vector<PlanOp>& ops, size_t i) {
   bool is_on = false, is_hi = false, is_trans = false;
-  if (ops[i].kind != LogOp::kRegWrite ||
+  if (ops[i].kind != PlanOpKind::kRegWrite ||
       PowerControlDomain(ops[i].reg, &is_on, &is_hi) == PowerDomain::kNone) {
     return std::nullopt;
   }
@@ -176,14 +177,14 @@ std::optional<Closure> MatchPowerAt(const std::vector<PlanOp>& ops, size_t i) {
   while (j < ops.size()) {
     const PlanOp& op = ops[j];
     bool member = false;
-    if (op.kind == LogOp::kRegWrite &&
+    if (op.kind == PlanOpKind::kRegWrite &&
         PowerControlDomain(op.reg, &is_on, &is_hi) != PowerDomain::kNone) {
       member = true;
-    } else if (op.kind == LogOp::kPollWait &&
+    } else if (op.kind == PlanOpKind::kPollWait &&
                PowerStatusDomain(op.reg, &is_trans, &is_hi) !=
                    PowerDomain::kNone) {
       member = true;
-    } else if (op.kind == LogOp::kRegRead &&
+    } else if (op.kind == PlanOpKind::kRegRead &&
                PowerStatusDomain(op.reg, &is_trans, &is_hi) !=
                    PowerDomain::kNone) {
       member = true;
@@ -214,7 +215,7 @@ std::optional<Closure> MatchAsAt(const std::vector<PlanOp>& ops, size_t i) {
   // Mandatory UPDATE on the same AS.
   int cmd_idx = -1;
   uint32_t as_reg = 0;
-  if (j >= ops.size() || ops[j].kind != LogOp::kRegWrite ||
+  if (j >= ops.size() || ops[j].kind != PlanOpKind::kRegWrite ||
       !DecodeAsRegister(ops[j].reg, &cmd_idx, &as_reg) ||
       as_reg != kAsCommand || ops[j].value != kAsCommandUpdate ||
       (as_index != -1 && cmd_idx != as_index)) {
@@ -225,7 +226,7 @@ std::optional<Closure> MatchAsAt(const std::vector<PlanOp>& ops, size_t i) {
   while (j < ops.size()) {
     const PlanOp& op = ops[j];
     int idx = -1;
-    if (op.kind != LogOp::kPollWait ||
+    if (op.kind != PlanOpKind::kPollWait ||
         !DecodeAsRegister(op.reg, &idx, &as_reg) || as_reg != kAsStatus ||
         idx != as_index || op.mask != kAsStatusActive || op.expected != 0) {
       break;
@@ -259,7 +260,7 @@ std::optional<Closure> MatchClosureAt(const std::vector<PlanOp>& ops,
 
 bool ClosureIsPureBringUp(const std::vector<PlanOp>& ops, const Closure& c) {
   for (size_t i = c.begin; i < c.end; ++i) {
-    if (ops[i].kind != LogOp::kRegWrite) {
+    if (ops[i].kind != PlanOpKind::kRegWrite) {
       continue;
     }
     bool is_on = false, is_hi = false;
@@ -330,7 +331,7 @@ void PowerState::ApplyWrite(uint32_t reg, uint32_t value, const GpuSku& sku) {
 PowerState SourceExitPower(const std::vector<PlanOp>& ops, const GpuSku& sku) {
   PowerState state;  // scrubbed device: everything off
   for (const PlanOp& op : ops) {
-    if (op.kind != LogOp::kRegWrite) {
+    if (op.kind != PlanOpKind::kRegWrite) {
       continue;
     }
     if (op.reg == kRegGpuCommand) {
@@ -390,22 +391,22 @@ struct WarmPowerWalk {
     state.ApplyWrite(reg, value, sku);
   }
 
-  void Op(const WarmOp& op, const std::vector<RegSpanWrite>& span_writes) {
+  void Op(const PlanOp& op, const std::vector<RegSpanWrite>& span_writes) {
     if (error.has_value()) {
       return;
     }
     bool is_trans = false, is_hi = false;
     switch (op.kind) {
-      case WarmOpKind::kRegWrite:
+      case PlanOpKind::kRegWrite:
         Write(op.reg, op.value);
         break;
-      case WarmOpKind::kRegSpan:
+      case PlanOpKind::kRegSpan:
         for (uint32_t k = 0; k < op.span_len; ++k) {
           const RegSpanWrite& w = span_writes[op.span_begin + k];
           Write(w.reg, w.value);
         }
         break;
-      case WarmOpKind::kPollWait: {
+      case PlanOpKind::kPollWait: {
         PowerDomain d = PowerStatusDomain(op.reg, &is_trans, &is_hi);
         if (d != PowerDomain::kNone) {
           if (is_trans && op.expected != 0) {
@@ -416,7 +417,7 @@ struct WarmPowerWalk {
         }
         break;
       }
-      case WarmOpKind::kRegRead: {
+      case PlanOpKind::kRegRead: {
         PowerDomain d = PowerStatusDomain(op.reg, &is_trans, &is_hi);
         if (d != PowerDomain::kNone && op.verify) {
           uint64_t word64 = is_trans ? 0 : state.domain(d);
@@ -443,7 +444,7 @@ std::optional<std::string> EvalWarmPower(const WarmProgram& warm,
                                          const PowerState& entry,
                                          PowerState* exit) {
   WarmPowerWalk walk(entry, sku);
-  for (const WarmOp& op : warm.ops) {
+  for (const PlanOp& op : warm.ops) {
     walk.Op(op, warm.span_writes);
     if (walk.error.has_value()) {
       return walk.error;
@@ -461,7 +462,7 @@ uint32_t OwnedGpuIrqBits(const std::vector<PlanOp>& ops,
       continue;  // coverage obligation reports this separately
     }
     const PlanOp& op = ops[r.src_index];
-    if (op.kind != LogOp::kRegWrite) {
+    if (op.kind != PlanOpKind::kRegWrite) {
       continue;
     }
     if (RewriteIsElision(r.kind)) {

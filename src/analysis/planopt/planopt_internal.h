@@ -28,7 +28,7 @@ bool IsJobStartWrite(uint32_t reg, uint32_t value, int* slot = nullptr);
 
 // True for writes to JOB_IRQ_CLEAR.
 inline bool IsJobIrqClearWrite(const PlanOp& op) {
-  return op.kind == LogOp::kRegWrite && op.reg == kRegJobIrqClear;
+  return op.kind == PlanOpKind::kRegWrite && op.reg == kRegJobIrqClear;
 }
 
 // Decodes a JSn_AFFINITY_NEXT_LO/HI write. Returns false otherwise.

@@ -1,32 +1,30 @@
-// Compiled replay plans: the TEE's fast path for recurring inference.
+// Replay plans: the one op vocabulary the replayer executes.
 //
-// The interpreter in Replayer walks the interaction log entry-by-entry on
-// every Replay() call and re-applies every recorded memory page each time.
-// That is fine for a one-shot demonstration, but the paper's deployed
-// artifact replays "repeatedly on new input" (§3.2) — the per-inference
-// cost is what a client pays. A ReplayPlan lowers a loaded (signature- and
+// Every replay runs a plan. A plan lowers a loaded (signature- and
 // verifier-checked) recording once into a flat, cache-friendly form:
 //
 //   * a dense op array with register ops pre-decoded (the per-read
 //     verify decision — deterministic register under verify_reads — is
-//     resolved at compile time, not per replay);
-//   * the initial memory image pre-coalesced into per-region contiguous
-//     page runs (one memcpy per run instead of one Write per log entry),
-//     deduplicated last-write-wins across repeated snapshots of the same
-//     page;
+//     resolved at compile time, not per replay), each op naming the log
+//     entry it was lowered from;
 //   * mid-replay metastate reapplications kept as ops (they are
 //     semantically ordered against the register stimuli); non-metastate
-//     pages after the first job start — which the interpreter skips on
-//     every single call — are dropped at compile time;
+//     pages after the first job start reflect the dry run's compute and
+//     are dropped at compile time;
 //   * a patch table of pre-resolved (physical address, tensor offset)
 //     chunks for every tensor binding, so injection and readout are
 //     straight copy loops with no page arithmetic.
 //
-// Compilation is purely mechanical: every op in the plan corresponds to a
-// log entry the interpreter would have executed, in the same order. The
-// equivalence suite (tests/integration/plan_equivalence_test.cc) holds the
-// two paths to bitwise-identical outputs on every example network and the
-// chaos corpus.
+// The compiler has two steps. LowerRecording keeps every pre-job-start
+// page snapshot as its own op, in log order: the uncoalesced lowering,
+// which the replayer's interpreter engine runs (and the only one that can
+// produce a faithful observed log for §3.4 diffing). CompileReplayPlan
+// then coalesces those snapshots into per-region contiguous page runs,
+// deduplicated last-write-wins (one memcpy per run instead of one write
+// per log entry). The equivalence suite
+// (tests/integration/plan_equivalence_test.cc) holds the two lowerings
+// and the fused warm program to bitwise-identical outputs on every
+// example network and the chaos corpus.
 #ifndef GRT_SRC_RECORD_PLAN_H_
 #define GRT_SRC_RECORD_PLAN_H_
 
@@ -45,27 +43,46 @@ namespace grt {
 
 // The replayer's job-start predicate (a JS*_COMMAND_NEXT = START write):
 // the boundary after which non-metastate page snapshots reflect dry-run
-// compute and are never applied. Shared by the interpreter and the plan
-// compiler so the two notions can never drift apart.
+// compute and are never applied, and before which page snapshots form
+// the initial image.
 bool IsReplayJobStart(const LogEntry& e);
 
-// One pre-decoded replay step. Same kinds as LogOp; kMemPage ops index
-// into ReplayPlan::mid_images (mid-replay metastate reapplications only —
-// the initial image lives in ReplayPlan::regions).
+// The six log kinds (same values as LogOp) plus the fused register span
+// that only a warm program carries.
+enum class PlanOpKind : uint8_t {
+  kRegWrite = 1,
+  kRegRead = 2,
+  kPollWait = 3,
+  kDelay = 4,
+  kIrqWait = 5,
+  kMemPage = 6,
+  kRegSpan = 7,  // fused run of adjacent writes (WarmProgram::span_writes)
+};
+
+// One pre-decoded replay step.
 struct PlanOp {
-  LogOp kind = LogOp::kRegWrite;
-  // kRegRead: compile-time resolution of "would the interpreter verify
-  // this read" (deterministic register; nondet registers are never
-  // checked). The replayer additionally honours ReplayConfig::verify_reads.
+  PlanOpKind kind = PlanOpKind::kRegWrite;
+  // kRegRead: compile-time resolution of "is this read verified"
+  // (deterministic register; nondet registers are never checked). The
+  // replayer additionally honours ReplayConfig::verify_reads.
   bool verify = false;
+  uint8_t irq_lines = 0;   // kIrqWait
   uint32_t reg = 0;
   uint32_t value = 0;
   uint32_t mask = 0;       // kPollWait
   uint32_t expected = 0;   // kPollWait
-  uint8_t irq_lines = 0;   // kIrqWait
+  // kRegRead: bits compared when verifying. All ones, except on warm
+  // GPU_IRQ_RAWSTAT reads planopt weakened to exclude bits owned by
+  // elided device-op closures (flush/power/reset completion bits that no
+  // longer get raised).
+  uint32_t verify_mask = 0xFFFFFFFFu;
   Duration delay = 0;      // kDelay
   uint32_t image = 0;      // kMemPage: index into ReplayPlan::mid_images
-  uint32_t log_index = 0;  // position in the source log (diagnostics)
+  uint32_t span_begin = 0;  // kRegSpan: first index into span_writes
+  uint32_t span_len = 0;    // kRegSpan: member count (>= 2)
+  // The 0-based log entry this op was lowered from (a span: its first
+  // member's). Replay errors name it.
+  uint32_t log_index = 0;
 };
 
 // A run of physically-contiguous initial-image pages, coalesced from the
@@ -79,8 +96,9 @@ struct PlanRegion {
   uint64_t page_pa(uint32_t i) const { return base_pa + i * kPageSize; }
 };
 
-// A metastate page the recording reapplies after the first job start;
-// ordered against register stimuli via its PlanOp.
+// A page snapshot applied as an op, ordered against the register stimuli:
+// a metastate page the recording reapplies after the first job start
+// (or, in the uncoalesced lowering, any initial-image snapshot).
 struct PlanImage {
   uint64_t pa = 0;
   Bytes data;
@@ -98,14 +116,9 @@ struct PatchChunk {
 struct TensorPatch {
   uint64_t n_floats = 0;
   bool writable = false;  // injectable at replay
-  // False when the binding's page list is too short to back all n_floats
-  // (injection must fail exactly like the interpreter's page walk would).
+  // False when the binding's page list is too short to back all n_floats;
+  // injection and readback then fail with Internal.
   bool complete = true;
-  // Escape analysis (planopt): readback through the chunk table may write
-  // the caller's buffer directly — the tensor's pages back exactly
-  // n_floats and are not aliased by another writable binding's pages, so
-  // the chunk copy is bitwise the interpreter page walk.
-  bool direct_readback = false;
   std::vector<PatchChunk> chunks;
 };
 
@@ -117,41 +130,11 @@ struct TensorPatch {
 // justification from the plan + register semantics, so a tampered or
 // stale program is rejected before it can touch the device.
 
-enum class WarmOpKind : uint8_t {
-  kMemPage,   // mid-replay metastate reapplication (kept)
-  kRegWrite,  // single retained register write
-  kRegRead,   // retained read; verified under verify & verify_mask
-  kPollWait,
-  kDelay,
-  kIrqWait,
-  kRegSpan,  // fused run of adjacent retained writes (span_writes slice)
-};
-
 // One member write of a fused kRegSpan, in execution order.
 struct RegSpanWrite {
   uint32_t reg = 0;
   uint32_t value = 0;
   uint32_t src_index = 0;  // plan op this write was fused from
-};
-
-struct WarmOp {
-  WarmOpKind kind = WarmOpKind::kRegWrite;
-  bool verify = false;
-  uint32_t reg = 0;
-  uint32_t value = 0;
-  uint32_t mask = 0;      // kPollWait
-  uint32_t expected = 0;  // kPollWait
-  // kRegRead: bits actually compared when verifying. All-ones for plain
-  // retained reads; weakened on GPU_IRQ_RAWSTAT reads to exclude bits
-  // owned by elided device-op closures (flush/power/reset completion
-  // bits that no longer get raised).
-  uint32_t verify_mask = 0xFFFFFFFFu;
-  uint8_t irq_lines = 0;   // kIrqWait
-  Duration delay = 0;      // kDelay
-  uint32_t image = 0;      // kMemPage
-  uint32_t span_begin = 0;  // kRegSpan: first index into span_writes
-  uint32_t span_len = 0;    // kRegSpan: member count (>= 2)
-  uint32_t src_index = 0;   // source plan op (non-span kinds)
 };
 
 // Why a source plan op is absent from / present in the warm schedule.
@@ -200,11 +183,10 @@ struct WarmStats {
   uint32_t elided_ops = 0;       // source ops with no warm counterpart
   uint32_t invariant_ops = 0;    // partition: warm-invariant source ops
   uint32_t input_dep_ops = 0;    // partition: input-dependent source ops
-  uint32_t direct_readback_tensors = 0;
 };
 
 struct WarmProgram {
-  std::vector<WarmOp> ops;
+  std::vector<PlanOp> ops;
   std::vector<RegSpanWrite> span_writes;
   PlanProvenance provenance;
   WarmStats stats;
@@ -233,8 +215,6 @@ struct ReplayPlan {
   uint32_t image_pages = 0;      // total initial-image pages
   uint32_t duplicate_pages = 0;  // pre-job-start re-snapshots folded away
   uint32_t dropped_pages = 0;    // post-job-start non-metastate entries
-                                 // (the interpreter skips these per call;
-                                 // the plan drops them once)
   size_t source_entries = 0;     // log length the plan was compiled from
 
   size_t CountOps(LogOp kind) const;
@@ -248,9 +228,14 @@ struct PlanCompileOptions {
   bool include_images = true;
 };
 
-// Lowers a recording into a plan. Purely mechanical (no verification —
-// run the static verifier before trusting the recording; Replayer::Load
-// does). Never fails: any well-formed log lowers.
+// Lowers a recording into a plan, one op per log entry the replay
+// applies: the uncoalesced lowering (no regions). Purely mechanical (no
+// verification — run the static verifier before trusting the recording;
+// Replayer::Load does). Never fails: any well-formed log lowers.
+ReplayPlan LowerRecording(const Recording& recording);
+
+// LowerRecording, then the pre-job-start full-page snapshots folded into
+// per-region page runs (the serving fast path).
 ReplayPlan CompileReplayPlan(const Recording& recording);
 ReplayPlan CompileReplayPlan(const Recording& recording,
                              const PlanCompileOptions& options);

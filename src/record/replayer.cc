@@ -83,18 +83,22 @@ Status Replayer::LoadShared(std::shared_ptr<const Recording> recording,
   }
   ResetReplayState();
   recording_ = std::move(recording);
-  if (plan != nullptr) {
+  // An observed log needs one op per applied log entry, so it always runs
+  // the interpreter, even when a compiled plan is supplied.
+  interpreted_ =
+      config_.collect_observed || (plan == nullptr && !config_.use_plan);
+  if (interpreted_) {
+    plan_ = std::make_shared<const ReplayPlan>(LowerRecording(*recording_));
+  } else if (plan != nullptr) {
     plan_ = std::move(plan);
-  } else if (config_.use_plan) {
-    plan_ = std::make_shared<const ReplayPlan>(CompileReplayPlan(*recording_));
   } else {
-    plan_.reset();
+    plan_ = std::make_shared<const ReplayPlan>(CompileReplayPlan(*recording_));
   }
   // Defense in depth: a warm program arriving from outside (e.g. the
   // serving engine's shared plan cache) is re-checked against its
   // provenance before it can ever drive this device — the attach-time
   // check does not travel with trust.
-  if (plan_ != nullptr && plan_->warm != nullptr) {
+  if (plan_->warm != nullptr) {
     GRT_RETURN_IF_ERROR(CheckWarmProgram(*plan_, *plan_->warm, gpu_->sku()));
   }
   loaded_ = true;
@@ -158,29 +162,7 @@ const std::unordered_set<uint64_t>& Replayer::InjectedPages() {
   return injected_pages_;
 }
 
-Status Replayer::InjectStaged() {
-  for (const auto& [name, staged] : staged_) {
-    const std::vector<float>& data = staged.data;
-    const TensorBinding& b = recording_->bindings.at(name);
-    uint64_t bytes = data.size() * sizeof(float);
-    const auto* src = reinterpret_cast<const uint8_t*>(data.data());
-    uint64_t done = 0;
-    size_t page_idx = 0;
-    while (done < bytes) {
-      if (page_idx >= b.pages.size()) {
-        return Internal("binding page list too short");
-      }
-      uint64_t chunk = std::min<uint64_t>(bytes - done, kPageSize);
-      GRT_RETURN_IF_ERROR(mem_->Write(b.pages[page_idx], src + done, chunk,
-                                      MemAccessOrigin::kCpuSecureWorld));
-      done += chunk;
-      ++page_idx;
-    }
-  }
-  return OkStatus();
-}
-
-Status Replayer::InjectStagedPlanned(bool warm) {
+Status Replayer::InjectTensors(bool warm) {
   for (auto& [name, staged] : staged_) {
     auto it = plan_->patches.find(name);
     if (it == plan_->patches.end()) {
@@ -215,18 +197,6 @@ Status Replayer::InjectStagedPlanned(bool warm) {
   return OkStatus();
 }
 
-Status Replayer::ApplyMemEntry(const LogEntry& e, ReplayReport* report) {
-  const uint64_t w0 = WallNowNs();
-  GRT_RETURN_IF_ERROR(mem_->Write(e.pa, e.data.data(), e.data.size(),
-                                  MemAccessOrigin::kCpuSecureWorld));
-  ++report->pages_applied;
-  report->mem_bytes_applied += e.data.size();
-  report->wall_page_apply_ns += WallNowNs() - w0;
-  // CPU copy cost for the page.
-  timeline_->Advance(static_cast<Duration>(e.data.size() / 8));  // ~8 B/ns
-  return OkStatus();
-}
-
 Status Replayer::WaitIrqLines(uint8_t lines, uint8_t tolerated) {
   TimePoint deadline = timeline_->now() + config_.irq_timeout;
   for (;;) {
@@ -250,163 +220,6 @@ Status Replayer::WaitIrqLines(uint8_t lines, uint8_t tolerated) {
     }
     timeline_->AdvanceTo(next);
   }
-}
-
-Result<ReplayReport> Replayer::Replay() {
-  if (!loaded_) {
-    return FailedPrecondition("Replay before Load");
-  }
-  // The plan cannot reproduce an observed log (skipped entries are dropped
-  // at compile time), so §3.4 log collection runs the interpreter.
-  if (plan_ != nullptr && !config_.collect_observed) {
-    return ReplayPlanned();
-  }
-  return ReplayInterpreted();
-}
-
-Result<ReplayReport> Replayer::ReplayInterpreted() {
-  GRT_TRACE_SPAN("replay.interp", "replay");
-  ReplayReport report;
-  observed_.Clear();
-  TimePoint start = timeline_->now();
-  const uint64_t wall0 = WallNowNs();
-  const uint64_t gpu_wall0 = gpu_->exec_wall_ns();
-
-  // Lock the GPU into the TEE and scrub hardware state (§3.2).
-  tzasc_->AssignGpu(World::kSecure);
-  if (config_.scrub_before) {
-    gpu_->HardReset();
-  }
-
-  const std::unordered_set<uint64_t>& injected_pages = InjectedPages();
-
-  bool first_image_done = false;
-  GRT_RETURN_IF_ERROR(InjectStaged());
-
-  constexpr Duration kMmioCost = 200 * kNanosecond;
-  for (const LogEntry& e : recording_->log.entries()) {
-    ++report.entries_replayed;
-    switch (e.op) {
-      case LogOp::kMemPage: {
-        if (injected_pages.count(e.pa) > 0) {
-          break;  // superseded by injected tensor data
-        }
-        // After the initial image, only metastate pages are reapplied:
-        // program-data pages mid-run reflect the dry run's (zero-input)
-        // compute and must not overwrite real intermediate results.
-        if (first_image_done && !e.metastate) {
-          break;
-        }
-        TimePoint t0 = timeline_->now();
-        GRT_RETURN_IF_ERROR(ApplyMemEntry(e, &report));
-        report.stage_page_apply += timeline_->now() - t0;
-        if (config_.collect_observed) {
-          observed_.Add(e);
-        }
-        break;
-      }
-      case LogOp::kRegWrite: {
-        timeline_->Advance(kMmioCost);
-        (IsDispatchReg(e.reg) ? report.stage_dispatch : report.stage_reg_io) +=
-            kMmioCost;
-        GRT_RETURN_IF_ERROR(
-            tzasc_->WriteGpuRegister(World::kSecure, gpu_, e.reg, e.value));
-        if (config_.collect_observed) {
-          observed_.Add(e);
-        }
-        if (!first_image_done && IsReplayJobStart(e)) {
-          first_image_done = true;
-        }
-        break;
-      }
-      case LogOp::kRegRead: {
-        timeline_->Advance(kMmioCost);
-        report.stage_reg_io += kMmioCost;
-        GRT_ASSIGN_OR_RETURN(
-            uint32_t v, tzasc_->ReadGpuRegister(World::kSecure, gpu_, e.reg));
-        if (config_.collect_observed) {
-          LogEntry obs = e;
-          obs.value = v;
-          observed_.Add(std::move(obs));
-        }
-        if (config_.verify_reads && !IsNondeterministicRegister(e.reg)) {
-          if (v != e.value) {
-            return IntegrityViolation(
-                std::string("replay divergence at register ") +
-                RegisterName(e.reg) + ", entry " +
-                std::to_string(report.entries_replayed) + ": got " +
-                std::to_string(v) + " want " + std::to_string(e.value));
-          }
-          ++report.reads_verified;
-        }
-        break;
-      }
-      case LogOp::kPollWait: {
-        bool satisfied = false;
-        for (int i = 0; i < config_.poll_max_iters; ++i) {
-          timeline_->Advance(kMmioCost);
-          report.stage_reg_io += kMmioCost;
-          GRT_ASSIGN_OR_RETURN(uint32_t v, tzasc_->ReadGpuRegister(
-                                               World::kSecure, gpu_, e.reg));
-          if ((v & e.mask) == e.expected) {
-            satisfied = true;
-            break;
-          }
-          // Between iterations, let the device make progress.
-          TimePoint wait0 = timeline_->now();
-          TimePoint next = gpu_->NextEventTime();
-          if (next != kNoEvent) {
-            timeline_->AdvanceTo(next);
-          } else {
-            timeline_->Advance(config_.poll_iter_delay);
-          }
-          report.stage_shader_exec += timeline_->now() - wait0;
-        }
-        if (!satisfied) {
-          return PollExhausted("replay poll never satisfied at entry " +
-                               std::to_string(report.entries_replayed));
-        }
-        if (config_.collect_observed) {
-          observed_.Add(e);
-        }
-        break;
-      }
-      case LogOp::kDelay: {
-        timeline_->Advance(e.delay);
-        report.stage_shader_exec += e.delay;
-        if (config_.collect_observed) {
-          observed_.Add(e);
-        }
-        break;
-      }
-      case LogOp::kIrqWait: {
-        TimePoint wait0 = timeline_->now();
-        Status irq_status = WaitIrqLines(e.irq_lines);
-        report.stage_shader_exec += timeline_->now() - wait0;
-        if (!irq_status.ok()) {
-          return Status(irq_status.code(),
-                        irq_status.message() + " at entry " +
-                            std::to_string(report.entries_replayed));
-        }
-        if (config_.collect_observed) {
-          observed_.Add(e);
-        }
-        break;
-      }
-    }
-  }
-
-  // Scrub and release (unless the caller resumes from this state).
-  if (config_.scrub_after) {
-    gpu_->HardReset();
-    tzasc_->AssignGpu(World::kNormal);
-  }
-
-  report.delay = timeline_->now() - start;
-  report.wall_ns = WallNowNs() - wall0;
-  report.wall_shader_exec_ns = gpu_->exec_wall_ns() - gpu_wall0;
-  CountReplayReport(report);
-  return report;
 }
 
 Status Replayer::ApplyPlanImages(bool warm, ReplayReport* report) {
@@ -454,20 +267,24 @@ Status Replayer::ApplyPlanImages(bool warm, ReplayReport* report) {
   return OkStatus();
 }
 
-Result<ReplayReport> Replayer::ReplayPlanned() {
+Result<ReplayReport> Replayer::Replay() {
+  if (!loaded_) {
+    return FailedPrecondition("Replay before Load");
+  }
   ReplayReport report;
-  report.plan_used = true;
+  report.plan_used = !interpreted_;
   observed_.Clear();
   TimePoint start = timeline_->now();
   const uint64_t wall0 = WallNowNs();
   const uint64_t gpu_wall0 = gpu_->exec_wall_ns();
 
+  // Lock the GPU into the TEE (§3.2).
   tzasc_->AssignGpu(World::kSecure);
 
   // Arm the clobber observer once per loaded plan. It stays registered
   // between replays: external writes to image pages (another replayer
   // sharing this device, a debugging poke) must invalidate them too.
-  if (config_.dirty_tracking && write_observer_id_ == 0) {
+  if (!interpreted_ && write_observer_id_ == 0) {
     dirty_pages_.Init(mem_->base(), mem_->size());
     write_observer_id_ =
         mem_->AddWriteObserver([this](uint64_t pa, uint64_t len) {
@@ -477,25 +294,28 @@ Result<ReplayReport> Replayer::ReplayPlanned() {
           dirty_pages_.MarkRange(pa, len);
         });
   }
-  bool warm = config_.dirty_tracking && have_image_state_;
+  const bool warm = have_image_state_;
   report.warm = warm;
   // Fused fast path: execute the checked warm program instead of the full
   // op array. Requires an armed device — the previous replay on this
   // replayer succeeded and left the hardware in the warm program's proven
   // entry state — and an unchanged reset epoch (nobody scrubbed the
   // device in between).
-  bool fused = config_.use_warm_program && plan_->warm != nullptr && warm &&
-               warm_armed_ && gpu_->reset_epoch() == warm_epoch_;
+  const bool fused = plan_->warm != nullptr && warm && warm_armed_ &&
+                     gpu_->reset_epoch() == warm_epoch_;
   report.warm_program_used = fused;
   // Arming is single-shot: anything short of a full successful replay
   // leaves the device state unproven.
   warm_armed_ = false;
+  // Scrub hardware state (§3.2); the fused program instead starts from
+  // the proven state the previous replay left.
   if (config_.scrub_before && !fused) {
     gpu_->HardReset();
   }
-  GRT_TRACE_SPAN(
-      fused ? "replay.fused" : (warm ? "replay.warm" : "replay.cold"),
-      "replay");
+  GRT_TRACE_SPAN(interpreted_ ? "replay.interp"
+                 : fused      ? "replay.fused"
+                              : (warm ? "replay.warm" : "replay.cold"),
+                 "replay");
 
   {
     GRT_TRACE_SPAN("replay.stage.page_apply", "replay");
@@ -505,17 +325,27 @@ Result<ReplayReport> Replayer::ReplayPlanned() {
     // Injection runs with the observer still suspended, so the tensor
     // pages it writes come out clean like the image pages: the next warm
     // replay skips a tensor until it is restaged or its pages are written.
-    const Status injected = InjectStagedPlanned(warm);
+    const Status injected = InjectTensors(warm);
     // Image state is established; from here every write dirties its page.
     dirty_pages_.Clear();
-    observer_active_ = config_.dirty_tracking;
-    have_image_state_ = config_.dirty_tracking && injected.ok();
+    observer_active_ = !interpreted_;
+    have_image_state_ = !interpreted_ && injected.ok();
     GRT_RETURN_IF_ERROR(injected);
     report.stage_page_apply += timeline_->now() - t0;
     report.wall_page_apply_ns += WallNowNs() - w0;
   }
 
-  GRT_RETURN_IF_ERROR(fused ? RunWarmOps(&report) : RunPlanOps(&report));
+  // The full plan has no spans, full verify masks and tolerates no stray
+  // interrupt line. The fused program tolerates the GPU line (2) only if
+  // it owns rawstat bits that can hold it asserted.
+  if (fused) {
+    const WarmProgram& prog = *plan_->warm;
+    GRT_RETURN_IF_ERROR(Execute(prog.ops, prog.span_writes.data(),
+                                prog.owned_gpu_irq_bits != 0 ? 2 : 0,
+                                &report));
+  } else {
+    GRT_RETURN_IF_ERROR(Execute(plan_->ops, nullptr, 0, &report));
+  }
 
   // With a warm program attached, a scrub-eligible successful replay
   // skips the scrub: the device stays secure-locked in the program's
@@ -523,8 +353,7 @@ Result<ReplayReport> Replayer::ReplayPlanned() {
   // the next replay here can take the fused path. Any reset by anyone
   // else bumps the epoch and voids the arm.
   if (config_.scrub_after) {
-    if (config_.use_warm_program && plan_->warm != nullptr &&
-        config_.dirty_tracking) {
+    if (plan_->warm != nullptr) {
       warm_armed_ = true;
       warm_epoch_ = gpu_->reset_epoch();
     } else {
@@ -540,16 +369,30 @@ Result<ReplayReport> Replayer::ReplayPlanned() {
   return report;
 }
 
-Status Replayer::RunPlanOps(ReplayReport* report) {
+// The one executor, for the full plan, the interpreter's uncoalesced
+// lowering and the fused warm program alike. Modeled costs: 200 ns of
+// MMIO mediation per register op and per poll iteration; a span pays it
+// once plus 40 ns per extra write (one ownership/rail check for the whole
+// batch, see Tzasc::WriteGpuRegisterSpan); a page costs len/8 ns of CPU
+// copy. Verified reads compare under the op's verify_mask, so only the
+// warm program's weakened reads ignore the bits it owns; everything else
+// (notably fault bits) stays loud. Interrupt lines in
+// `tolerated_irq_lines` may be asserted during waits.
+Status Replayer::Execute(const std::vector<PlanOp>& ops,
+                         const RegSpanWrite* spans,
+                         uint8_t tolerated_irq_lines, ReplayReport* report) {
   constexpr Duration kMmioCost = 200 * kNanosecond;
+  constexpr Duration kSpanWriteCost = 40 * kNanosecond;
   const std::unordered_set<uint64_t>& injected = InjectedPages();
-  for (const PlanOp& op : plan_->ops) {
+  const bool observe = config_.collect_observed;
+  for (const PlanOp& op : ops) {
     ++report->entries_replayed;
+    uint32_t read_value = 0;
     switch (op.kind) {
-      case LogOp::kMemPage: {
+      case PlanOpKind::kMemPage: {
         const PlanImage& im = plan_->mid_images[op.image];
         if (injected.count(im.pa) > 0) {
-          break;  // superseded by injected tensor data
+          continue;  // superseded by injected tensor data
         }
         const uint64_t w0 = WallNowNs();
         GRT_RETURN_IF_ERROR(mem_->Write(im.pa, im.data.data(), im.data.size(),
@@ -557,12 +400,12 @@ Status Replayer::RunPlanOps(ReplayReport* report) {
         ++report->pages_applied;
         report->mem_bytes_applied += im.data.size();
         report->wall_page_apply_ns += WallNowNs() - w0;
-        timeline_->Advance(static_cast<Duration>(im.data.size() / 8));
-        report->stage_page_apply +=
-            static_cast<Duration>(im.data.size() / 8);
+        const auto cost = static_cast<Duration>(im.data.size() / 8);
+        timeline_->Advance(cost);
+        report->stage_page_apply += cost;
         break;
       }
-      case LogOp::kRegWrite: {
+      case PlanOpKind::kRegWrite: {
         timeline_->Advance(kMmioCost);
         (IsDispatchReg(op.reg) ? report->stage_dispatch
                                : report->stage_reg_io) += kMmioCost;
@@ -570,24 +413,44 @@ Status Replayer::RunPlanOps(ReplayReport* report) {
             tzasc_->WriteGpuRegister(World::kSecure, gpu_, op.reg, op.value));
         break;
       }
-      case LogOp::kRegRead: {
+      case PlanOpKind::kRegSpan: {
+        GRT_TRACE_SPAN("replay.stage.dispatch", "replay");
+        span_buf_.clear();
+        for (uint32_t k = 0; k < op.span_len; ++k) {
+          const RegSpanWrite& sw = spans[op.span_begin + k];
+          span_buf_.push_back(Tzasc::RegWrite{sw.reg, sw.value});
+        }
+        Duration cost = kMmioCost + (op.span_len - 1) * kSpanWriteCost;
+        timeline_->Advance(cost);
+        report->stage_dispatch += cost;
+        GRT_RETURN_IF_ERROR(tzasc_->WriteGpuRegisterSpan(
+            World::kSecure, gpu_, span_buf_.data(), span_buf_.size()));
+        ++report->fused_spans_executed;
+        report->fused_writes_executed += op.span_len;
+        break;
+      }
+      case PlanOpKind::kRegRead: {
         timeline_->Advance(kMmioCost);
         report->stage_reg_io += kMmioCost;
-        GRT_ASSIGN_OR_RETURN(
-            uint32_t v, tzasc_->ReadGpuRegister(World::kSecure, gpu_, op.reg));
+        GRT_ASSIGN_OR_RETURN(read_value, tzasc_->ReadGpuRegister(
+                                             World::kSecure, gpu_, op.reg));
         if (config_.verify_reads && op.verify) {
-          if (v != op.value) {
+          if (((read_value ^ op.value) & op.verify_mask) != 0) {
+            if (observe) {
+              Observe(op, read_value);  // the divergence belongs in the log
+            }
             return IntegrityViolation(
                 std::string("replay divergence at register ") +
                 RegisterName(op.reg) + ", log entry " +
-                std::to_string(op.log_index) + ": got " + std::to_string(v) +
-                " want " + std::to_string(op.value));
+                std::to_string(op.log_index) + ": got " +
+                std::to_string(read_value) + " want " +
+                std::to_string(op.value));
           }
           ++report->reads_verified;
         }
         break;
       }
-      case LogOp::kPollWait: {
+      case PlanOpKind::kPollWait: {
         bool satisfied = false;
         for (int i = 0; i < config_.poll_max_iters; ++i) {
           timeline_->Advance(kMmioCost);
@@ -598,6 +461,7 @@ Status Replayer::RunPlanOps(ReplayReport* report) {
             satisfied = true;
             break;
           }
+          // Between iterations, let the device make progress.
           TimePoint wait0 = timeline_->now();
           TimePoint next = gpu_->NextEventTime();
           if (next != kNoEvent) {
@@ -613,14 +477,15 @@ Status Replayer::RunPlanOps(ReplayReport* report) {
         }
         break;
       }
-      case LogOp::kDelay: {
+      case PlanOpKind::kDelay: {
         timeline_->Advance(op.delay);
         report->stage_shader_exec += op.delay;
         break;
       }
-      case LogOp::kIrqWait: {
+      case PlanOpKind::kIrqWait: {
+        GRT_TRACE_SPAN("replay.stage.shader_exec", "replay");
         TimePoint wait0 = timeline_->now();
-        Status irq_status = WaitIrqLines(op.irq_lines);
+        Status irq_status = WaitIrqLines(op.irq_lines, tolerated_irq_lines);
         report->stage_shader_exec += timeline_->now() - wait0;
         if (!irq_status.ok()) {
           return Status(irq_status.code(),
@@ -630,133 +495,21 @@ Status Replayer::RunPlanOps(ReplayReport* report) {
         break;
       }
     }
+    if (observe) {
+      Observe(op, read_value);
+    }
   }
   return OkStatus();
 }
 
-// Executes the fused warm program. Costs: a span pays the MMIO mediation
-// cost once plus a small per-extra-write cost (one ownership/rail check
-// for the whole batch, see Tzasc::WriteGpuRegisterSpan); everything else
-// matches the full-plan path. Verified reads compare under the op's
-// verify_mask — bits the program owns (latched by elided flush/reset/
-// power writes) are excluded, everything else (notably fault bits) stays
-// loud. The GPU irq line is tolerated during waits only if the program
-// owns rawstat bits that can hold it asserted.
-Status Replayer::RunWarmOps(ReplayReport* report) {
-  constexpr Duration kMmioCost = 200 * kNanosecond;
-  constexpr Duration kSpanWriteCost = 40 * kNanosecond;
-  const WarmProgram& prog = *plan_->warm;
-  const uint8_t tolerated = prog.owned_gpu_irq_bits != 0 ? 2 : 0;
-  const std::unordered_set<uint64_t>& injected = InjectedPages();
-  std::vector<Tzasc::RegWrite> span_buf;
-  for (const WarmOp& op : prog.ops) {
-    ++report->entries_replayed;
-    switch (op.kind) {
-      case WarmOpKind::kMemPage: {
-        const PlanImage& im = plan_->mid_images[op.image];
-        if (injected.count(im.pa) > 0) {
-          break;  // superseded by injected tensor data
-        }
-        const uint64_t w0 = WallNowNs();
-        GRT_RETURN_IF_ERROR(mem_->Write(im.pa, im.data.data(), im.data.size(),
-                                        MemAccessOrigin::kCpuSecureWorld));
-        ++report->pages_applied;
-        report->mem_bytes_applied += im.data.size();
-        report->wall_page_apply_ns += WallNowNs() - w0;
-        timeline_->Advance(static_cast<Duration>(im.data.size() / 8));
-        report->stage_page_apply +=
-            static_cast<Duration>(im.data.size() / 8);
-        break;
-      }
-      case WarmOpKind::kRegWrite: {
-        timeline_->Advance(kMmioCost);
-        (IsDispatchReg(op.reg) ? report->stage_dispatch
-                               : report->stage_reg_io) += kMmioCost;
-        GRT_RETURN_IF_ERROR(
-            tzasc_->WriteGpuRegister(World::kSecure, gpu_, op.reg, op.value));
-        break;
-      }
-      case WarmOpKind::kRegSpan: {
-        GRT_TRACE_SPAN("replay.stage.dispatch", "replay");
-        span_buf.clear();
-        span_buf.reserve(op.span_len);
-        for (uint32_t k = 0; k < op.span_len; ++k) {
-          const RegSpanWrite& sw = prog.span_writes[op.span_begin + k];
-          span_buf.push_back(Tzasc::RegWrite{sw.reg, sw.value});
-        }
-        Duration cost = kMmioCost + (op.span_len - 1) * kSpanWriteCost;
-        timeline_->Advance(cost);
-        report->stage_dispatch += cost;
-        GRT_RETURN_IF_ERROR(tzasc_->WriteGpuRegisterSpan(
-            World::kSecure, gpu_, span_buf.data(), span_buf.size()));
-        ++report->fused_spans_executed;
-        report->fused_writes_executed += op.span_len;
-        break;
-      }
-      case WarmOpKind::kRegRead: {
-        timeline_->Advance(kMmioCost);
-        report->stage_reg_io += kMmioCost;
-        GRT_ASSIGN_OR_RETURN(
-            uint32_t v, tzasc_->ReadGpuRegister(World::kSecure, gpu_, op.reg));
-        if (config_.verify_reads && op.verify) {
-          if (((v ^ op.value) & op.verify_mask) != 0) {
-            return IntegrityViolation(
-                std::string("warm replay divergence at register ") +
-                RegisterName(op.reg) + ", source op " +
-                std::to_string(op.src_index) + ": got " + std::to_string(v) +
-                " want " + std::to_string(op.value) + " (mask " +
-                std::to_string(op.verify_mask) + ")");
-          }
-          ++report->reads_verified;
-        }
-        break;
-      }
-      case WarmOpKind::kPollWait: {
-        bool satisfied = false;
-        for (int i = 0; i < config_.poll_max_iters; ++i) {
-          timeline_->Advance(kMmioCost);
-          report->stage_reg_io += kMmioCost;
-          GRT_ASSIGN_OR_RETURN(uint32_t v, tzasc_->ReadGpuRegister(
-                                               World::kSecure, gpu_, op.reg));
-          if ((v & op.mask) == op.expected) {
-            satisfied = true;
-            break;
-          }
-          TimePoint wait0 = timeline_->now();
-          TimePoint next = gpu_->NextEventTime();
-          if (next != kNoEvent) {
-            timeline_->AdvanceTo(next);
-          } else {
-            timeline_->Advance(config_.poll_iter_delay);
-          }
-          report->stage_shader_exec += timeline_->now() - wait0;
-        }
-        if (!satisfied) {
-          return PollExhausted("warm replay poll never satisfied at source op " +
-                               std::to_string(op.src_index));
-        }
-        break;
-      }
-      case WarmOpKind::kDelay: {
-        timeline_->Advance(op.delay);
-        report->stage_shader_exec += op.delay;
-        break;
-      }
-      case WarmOpKind::kIrqWait: {
-        GRT_TRACE_SPAN("replay.stage.shader_exec", "replay");
-        TimePoint wait0 = timeline_->now();
-        Status irq_status = WaitIrqLines(op.irq_lines, tolerated);
-        report->stage_shader_exec += timeline_->now() - wait0;
-        if (!irq_status.ok()) {
-          return Status(irq_status.code(),
-                        irq_status.message() + " at source op " +
-                            std::to_string(op.src_index));
-        }
-        break;
-      }
-    }
+// The observed log records what the device did, entry for entry: the
+// recorded entry, with a read's value replaced by the value read.
+void Replayer::Observe(const PlanOp& op, uint32_t read_value) {
+  LogEntry e = recording_->log.entries()[op.log_index];
+  if (op.kind == PlanOpKind::kRegRead) {
+    e.value = read_value;
   }
-  return OkStatus();
+  observed_.Add(std::move(e));
 }
 
 Status Replayer::ReadTensorInto(const std::string& name, float* out,
@@ -765,40 +518,21 @@ Status Replayer::ReadTensorInto(const std::string& name, float* out,
     return FailedPrecondition("ReadTensor before Load");
   }
   GRT_TRACE_SPAN("replay.stage.readback", "replay");
-  auto it = recording_->bindings.find(name);
-  if (it == recording_->bindings.end()) {
+  auto it = plan_->patches.find(name);
+  if (it == plan_->patches.end()) {
     return NotFound("no tensor binding '" + name + "'");
   }
-  const TensorBinding& b = it->second;
-  if (n_floats != b.n_floats) {
+  const TensorPatch& patch = it->second;
+  if (n_floats != patch.n_floats) {
     return InvalidArgument("tensor '" + name + "' size mismatch");
   }
-  auto* dst = reinterpret_cast<uint8_t*>(out);
-  // Direct readback: the escape analysis proved the chunk table complete,
-  // so the copy lands in the caller's buffer with no intermediate vector
-  // and no per-page arithmetic.
-  if (plan_ != nullptr) {
-    auto pit = plan_->patches.find(name);
-    if (pit != plan_->patches.end() && pit->second.direct_readback) {
-      for (const PatchChunk& c : pit->second.chunks) {
-        GRT_RETURN_IF_ERROR(mem_->Read(c.pa, dst + c.src_offset, c.len,
-                                       MemAccessOrigin::kCpuSecureWorld));
-      }
-      return OkStatus();
-    }
+  if (!patch.complete) {
+    return Internal("binding page list too short");
   }
-  uint64_t bytes = b.n_floats * sizeof(float);
-  uint64_t done = 0;
-  size_t page_idx = 0;
-  while (done < bytes) {
-    if (page_idx >= b.pages.size()) {
-      return Internal("binding page list too short");
-    }
-    uint64_t chunk = std::min<uint64_t>(bytes - done, kPageSize);
-    GRT_RETURN_IF_ERROR(mem_->Read(b.pages[page_idx], dst + done, chunk,
+  auto* dst = reinterpret_cast<uint8_t*>(out);
+  for (const PatchChunk& c : patch.chunks) {
+    GRT_RETURN_IF_ERROR(mem_->Read(c.pa, dst + c.src_offset, c.len,
                                    MemAccessOrigin::kCpuSecureWorld));
-    done += chunk;
-    ++page_idx;
   }
   return OkStatus();
 }

@@ -17,15 +17,20 @@
 //   6. read outputs from the recorded output addresses; reset the GPU and
 //      release it.
 //
-// Two execution engines share these semantics:
-//   * the interpreter walks the log entry-by-entry (reference engine, and
-//     the only one that can produce an observed log for §3.4 diffing);
-//   * the compiled plan (src/record/plan.h) executes a flat op array with
-//     the initial memory image pre-coalesced, plus dirty-page tracking:
-//     replay N+1 re-applies only the pages replay N clobbered (tracked by
-//     PhysicalMemory write interposition) and re-injects only the staged
-//     tensors that were restaged or clobbered — back-to-back inferences
-//     stop paying the full memsync cost.
+// One executor runs every replay over one op vocabulary (PlanOp, see
+// src/record/plan.h). What it runs selects the engine:
+//   * the interpreter: the recording's uncoalesced lowering, every initial
+//     page snapshot its own op in log order (reference engine, and the
+//     only one that can produce an observed log for §3.4 diffing);
+//   * the compiled plan: the same ops with the initial memory image
+//     pre-coalesced, plus dirty-page tracking: replay N+1 re-applies only
+//     the pages replay N clobbered (tracked by PhysicalMemory write
+//     interposition) and re-injects only the staged tensors that were
+//     restaged or clobbered — back-to-back inferences stop paying the
+//     full memsync cost;
+//   * the fused warm program (plan format v2, src/analysis/planopt) on
+//     warm replays of a plan that carries one.
+// Every replay error names the 0-based log entry of the failing op.
 //
 // Dirty-page soundness: a page is skipped only if no write — CPU either
 // world, GPU DMA, this replayer's own mid-replay reapplications — touched
@@ -126,9 +131,9 @@ struct ReplayConfig {
   Duration irq_timeout = 60 * kSecond;  // virtual
   // Collect the interactions actually observed on this device; diffing the
   // observed log against the recording localizes firmware malfunction
-  // (§3.4 remote debugging). Adds memory/time overhead. Forces the
-  // interpreter: a plan drops skipped entries at compile time, so it
-  // cannot produce a faithful observed log.
+  // (§3.4 remote debugging). Adds memory/time overhead. Selects the
+  // interpreter: a compiled plan folds page snapshots together at compile
+  // time, so it cannot produce a faithful observed log.
   bool collect_observed = false;
   // Run the static verifier (src/analysis) at Load and refuse recordings
   // with errors. On by default: a signed-but-malformed recording must never
@@ -136,19 +141,10 @@ struct ReplayConfig {
   // mid-session log that legitimately still carries speculative reads.
   // Verification happens ONCE per Load; Replay() never re-verifies.
   bool static_verify = true;
-  // Compile the recording into a ReplayPlan at Load and execute the plan
-  // at Replay (fast path). Off: interpret the log (reference engine).
+  // Compile the recording into a ReplayPlan at Load (fast path, with
+  // dirty-page tracking and, when the plan carries one, the fused warm
+  // program). Off: run the uncoalesced lowering (interpreter engine).
   bool use_plan = true;
-  // Plan path only: skip re-applying initial-image pages that no write
-  // clobbered since the previous replay applied them.
-  bool dirty_tracking = true;
-  // Execute the plan's fused warm program (plan format v2, attached by
-  // AttachWarmProgram) on warm replays instead of the full op array. The
-  // fast path additionally requires dirty tracking, an armed device (the
-  // previous replay on this replayer succeeded and left the device
-  // un-scrubbed), and an unchanged GPU reset epoch; otherwise the full
-  // plan runs. No effect on plans without a warm program.
-  bool use_warm_program = true;
 };
 
 struct ReplayReport {
@@ -163,11 +159,13 @@ struct ReplayReport {
   // clean (no write since their last application).
   size_t pages_skipped_clean = 0;
   bool plan_used = false;
-  // True when dirty-page tracking was in effect (second and later plan
-  // replays on the same loaded recording).
+  // True when the replay skipped provably clean pages and tensors: second
+  // and later compiled-plan replays on the same loaded recording. Never
+  // set by the interpreter.
   bool warm = false;
   // True when the fused warm program executed instead of the full op
-  // array (requires config.use_warm_program and an attached, armed plan).
+  // array (requires a plan carrying a checked warm program and a device
+  // armed by the previous replay).
   bool warm_program_used = false;
   // Fused register spans executed and the total writes they covered.
   size_t fused_spans_executed = 0;
@@ -211,8 +209,9 @@ class Replayer {
   Status Load(Recording recording);
   // Loads a shared recording, optionally with a pre-compiled plan (the
   // serving engine compiles once and shares the plan across workers; pass
-  // nullptr to compile here). The recording/plan must outlive all use —
-  // shared_ptr ownership guarantees it even across plan-cache eviction.
+  // nullptr to compile here; ignored under config.collect_observed). The
+  // recording/plan must outlive all use — shared_ptr ownership guarantees
+  // it even across plan-cache eviction.
   Status LoadShared(std::shared_ptr<const Recording> recording,
                     std::shared_ptr<const ReplayPlan> plan = nullptr);
 
@@ -234,10 +233,8 @@ class Replayer {
   Result<std::vector<float>> ReadTensor(const std::string& name) const;
 
   // Reads a tensor directly into a caller-owned buffer of n_floats
-  // elements, skipping the intermediate vector. On plans whose patch
-  // table proved the tensor's page mapping complete (direct_readback,
-  // set by the planopt escape analysis), the copy walks the precomputed
-  // chunk table; otherwise it falls back to the recorded page walk.
+  // elements, skipping the intermediate vector: the copy walks the plan's
+  // chunk table. Internal if the binding's page list is too short.
   Status ReadTensorInto(const std::string& name, float* out,
                         size_t n_floats) const;
 
@@ -246,11 +243,12 @@ class Replayer {
   const InteractionLog& observed_log() const { return observed_; }
 
   const Recording& recording() const { return *recording_; }
-  // Null unless config.use_plan and a recording is loaded.
+  // The plan Replay() runs: compiled, or the uncoalesced lowering under
+  // the interpreter. Null before Load.
   const ReplayPlan* plan() const { return plan_.get(); }
 
   // Bench/test introspection: physical pages written since the image
-  // state was last established (empty when dirty tracking is off). The
+  // state was last established (empty under the interpreter). The
   // dirty-page sweep uses this to target pages that are actually clean
   // at steady state — pages the replay itself rewrites every run are
   // re-applied regardless, so dirtying them is not marginal work.
@@ -265,14 +263,11 @@ class Replayer {
   }
 
  private:
-  Status ApplyMemEntry(const LogEntry& e, ReplayReport* report);
-  Status InjectStaged();
-  Status InjectStagedPlanned(bool warm);
-  Status WaitIrqLines(uint8_t lines, uint8_t tolerated = 0);
-  Result<ReplayReport> ReplayInterpreted();
-  Result<ReplayReport> ReplayPlanned();
-  Status RunPlanOps(ReplayReport* report);
-  Status RunWarmOps(ReplayReport* report);
+  Status InjectTensors(bool warm);
+  Status WaitIrqLines(uint8_t lines, uint8_t tolerated);
+  Status Execute(const std::vector<PlanOp>& ops, const RegSpanWrite* spans,
+                 uint8_t tolerated_irq_lines, ReplayReport* report);
+  void Observe(const PlanOp& op, uint32_t read_value);
   Status ApplyPlanImages(bool warm, ReplayReport* report);
   const std::unordered_set<uint64_t>& InjectedPages();
   void ResetReplayState();
@@ -284,11 +279,14 @@ class Replayer {
   ReplayConfig config_;
   std::shared_ptr<const Recording> recording_;
   std::shared_ptr<const ReplayPlan> plan_;
+  // plan_ is the uncoalesced lowering: the interpreter engine, which
+  // neither tracks dirty pages nor runs a warm program.
+  bool interpreted_ = false;
   InteractionLog observed_;
   bool loaded_ = false;
   struct StagedTensor {
     std::vector<float> data;
-    // Set by StageTensor, cleared when the plan path injects the values.
+    // Set by StageTensor, cleared when a replay injects the values.
     bool restaged = true;
   };
   std::map<std::string, StagedTensor> staged_;
@@ -296,7 +294,7 @@ class Replayer {
   // changes instead of on every Replay().
   std::unordered_set<uint64_t> injected_pages_;
   bool injected_pages_valid_ = false;
-  // ---- dirty-page tracking (plan path) ----
+  // ---- dirty-page tracking (compiled plans) ----
   // Observer registered with mem_ while a plan is loaded; it records pages
   // clobbered after the initial image was applied (GPU DMA during replay,
   // mid-replay metastate reapplications, and any external write between
@@ -314,6 +312,9 @@ class Replayer {
   // and falls back to the full plan.
   bool warm_armed_ = false;
   uint64_t warm_epoch_ = 0;
+  // Fused spans' writes in Tzasc form; kept across replays so a span
+  // costs no allocation.
+  std::vector<Tzasc::RegWrite> span_buf_;
 };
 
 }  // namespace grt

@@ -87,10 +87,11 @@ struct ServeConfig {
   ReplayConfig replay;
   // Run the planopt superoptimizer on each cold-resolved plan and attach
   // the checked warm program (plan format v2). Workers then execute the
-  // fused schedule on warm replays (requires replay.use_warm_program and
-  // dirty tracking). A program that fails its provenance check is never
-  // attached — the resolve fails loudly rather than serving unchecked
-  // rewrites; a declined build (unfusable recording) serves the v1 plan.
+  // fused schedule on warm replays of a compiled plan (replay.use_plan;
+  // the interpreter never runs it). A program that fails its provenance
+  // check is never attached — the resolve fails loudly rather than
+  // serving unchecked rewrites; a declined build (unfusable recording)
+  // serves the v1 plan.
   bool fuse_plans = true;
   // --- Multi-tenant scheduling (DESIGN.md §6j) ---
   // Per-tenant token-bucket admission. A tenant named in `tenant_limits`

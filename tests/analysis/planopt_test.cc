@@ -73,7 +73,7 @@ void ExpectRejected(const std::function<void(WarmProgram*)>& tamper,
 
 size_t FirstSpanOp(const WarmProgram& warm) {
   for (size_t w = 0; w < warm.ops.size(); ++w) {
-    if (warm.ops[w].kind == WarmOpKind::kRegSpan) {
+    if (warm.ops[w].kind == PlanOpKind::kRegSpan) {
       return w;
     }
   }
@@ -93,7 +93,7 @@ TEST(PlanoptSoundness, UntamperedProgramPasses) {
 TEST(PlanoptSoundness, RejectsReorderedSpanMembers) {
   ExpectRejected(
       [](WarmProgram* w) {
-        const WarmOp& span = w->ops[FirstSpanOp(*w)];
+        const PlanOp& span = w->ops[FirstSpanOp(*w)];
         ASSERT_GE(span.span_len, 2u);
         std::swap(w->span_writes[span.span_begin],
                   w->span_writes[span.span_begin + 1]);
@@ -107,7 +107,7 @@ TEST(PlanoptSoundness, RejectsWidenedFusionWindow) {
   ExpectRejected(
       [](WarmProgram* w) {
         size_t s = FirstSpanOp(*w);
-        const WarmOp& span = w->ops[s];
+        const PlanOp& span = w->ops[s];
         const RegSpanWrite& last =
             w->span_writes[span.span_begin + span.span_len - 1];
         RegSpanWrite extra = last;
@@ -116,7 +116,7 @@ TEST(PlanoptSoundness, RejectsWidenedFusionWindow) {
             w->span_writes.begin() + span.span_begin + span.span_len, extra);
         w->ops[s].span_len += 1;
         for (size_t j = s + 1; j < w->ops.size(); ++j) {
-          if (w->ops[j].kind == WarmOpKind::kRegSpan) {
+          if (w->ops[j].kind == PlanOpKind::kRegSpan) {
             w->ops[j].span_begin += 1;
           }
         }
@@ -127,7 +127,7 @@ TEST(PlanoptSoundness, RejectsWidenedFusionWindow) {
 TEST(PlanoptSoundness, RejectsTamperedSpanWriteValue) {
   ExpectRejected(
       [](WarmProgram* w) {
-        const WarmOp& span = w->ops[FirstSpanOp(*w)];
+        const PlanOp& span = w->ops[FirstSpanOp(*w)];
         w->span_writes[span.span_begin].value ^= 0x1;
       },
       "");
@@ -207,7 +207,7 @@ TEST(PlanoptSoundness, RejectsHiddenJobSlotWrite) {
             continue;
           }
           const PlanOp& op = f.plan.ops[r.src_index];
-          if (op.kind != LogOp::kRegWrite ||
+          if (op.kind != PlanOpKind::kRegWrite ||
               !planopt::IsJobSlotRegister(op.reg)) {
             continue;
           }

@@ -53,7 +53,6 @@ Result<EngineRun> ReplayColdWarm(const NetworkDef& net, const Recording& rec,
   ClientDevice device(kSku, kNondetSeed);
   ReplayConfig config;
   config.use_plan = engine != Engine::kInterp;
-  config.use_warm_program = engine == Engine::kFused;
   Replayer replayer(&device.gpu(), &device.tzasc(), &device.mem(),
                     &device.timeline(), config);
   if (engine == Engine::kFused) {

@@ -96,9 +96,29 @@ TEST(PlanCompile, PostJobStartDataPagesDroppedMetastateKept) {
   EXPECT_EQ(plan.mid_images[0].pa, kBase + 2 * kPageSize);
   // Ops: the job-start write, then the metastate reapplication, in order.
   ASSERT_EQ(plan.ops.size(), 2u);
-  EXPECT_EQ(plan.ops[0].kind, LogOp::kRegWrite);
-  EXPECT_EQ(plan.ops[1].kind, LogOp::kMemPage);
+  EXPECT_EQ(plan.ops[0].kind, PlanOpKind::kRegWrite);
+  EXPECT_EQ(plan.ops[1].kind, PlanOpKind::kMemPage);
   EXPECT_EQ(plan.ops[1].image, 0u);
+}
+
+TEST(PlanCompile, UncoalescedLoweringKeepsEverySnapshotInLogOrder) {
+  Recording rec = MakeRecording({
+      PageEntry(kBase, 1),
+      PageEntry(kBase, 7),  // a re-snapshot stays its own op
+      JobStartEntry(),
+      PageEntry(kBase + kPageSize, 2),  // post-job-start data page: dropped
+  });
+  ReplayPlan plan = LowerRecording(rec);
+  EXPECT_TRUE(plan.regions.empty());
+  EXPECT_EQ(plan.dropped_pages, 1u);
+  ASSERT_EQ(plan.ops.size(), 3u);
+  EXPECT_EQ(plan.ops[0].kind, PlanOpKind::kMemPage);
+  EXPECT_EQ(plan.ops[1].kind, PlanOpKind::kMemPage);
+  EXPECT_EQ(plan.mid_images[plan.ops[1].image].data[0], 7);
+  EXPECT_EQ(plan.ops[2].kind, PlanOpKind::kRegWrite);
+  for (uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(plan.ops[i].log_index, i);
+  }
 }
 
 TEST(PlanCompile, RegReadVerifyDecisionResolvedAtCompileTime) {
@@ -146,6 +166,45 @@ TEST(PlanCompile, PatchTableMirrorsBindingPageWalk) {
   EXPECT_EQ(patch.chunks[1].src_offset, kPageSize);
   EXPECT_EQ(patch.chunks[2].len, 512u);
   EXPECT_FALSE(plan.patches.at("short").complete);
+}
+
+// A binding whose page list is too short for its size can be neither
+// injected nor read back: both engines fail with Internal rather than
+// writing or reading only part of the tensor.
+TEST(IncompleteBinding, ReplayAndReadbackFailOnEveryEngine) {
+  constexpr uint64_t kNFloats = 2 * kPageSize / sizeof(float);  // 2 pages
+  for (bool use_plan : {false, true}) {
+    Recording rec = MakeRecording(
+        {PageEntry(kBase, 0x11), PageEntry(kBase + kPageSize, 0x22)});
+    TensorBinding in;
+    in.n_floats = kNFloats;
+    in.pages = {kBase};  // one page listed
+    in.writable_at_replay = true;
+    rec.bindings["in"] = in;
+    TensorBinding out;
+    out.n_floats = kNFloats;
+    out.pages = {kBase + kPageSize};  // one page listed
+    out.writable_at_replay = false;
+    rec.bindings["out"] = out;
+
+    ClientDevice device(SkuId::kMaliG71Mp8);
+    ReplayConfig config;
+    config.static_verify = false;  // hand-built, trusted
+    config.use_plan = use_plan;
+    Replayer replayer(&device.gpu(), &device.tzasc(), &device.mem(),
+                      &device.timeline(), config);
+    ASSERT_TRUE(replayer.Load(std::move(rec)).ok());
+    ASSERT_TRUE(
+        replayer.StageTensor("in", std::vector<float>(kNFloats, 1.0f)).ok());
+    auto report = replayer.Replay();
+    ASSERT_FALSE(report.ok()) << "use_plan " << use_plan;
+    EXPECT_EQ(report.status().code(), StatusCode::kInternal)
+        << report.status().ToString();
+    auto read = replayer.ReadTensor("out");
+    ASSERT_FALSE(read.ok()) << "use_plan " << use_plan;
+    EXPECT_EQ(read.status().code(), StatusCode::kInternal)
+        << read.status().ToString();
+  }
 }
 
 TEST(PlanCompile, JobStartPredicateShape) {
@@ -201,7 +260,6 @@ class DirtyTrackingTest : public ::testing::Test {
     ReplayConfig config;
     config.static_verify = false;  // hand-built, trusted
     config.use_plan = true;
-    config.dirty_tracking = true;
     return config;
   }
 
@@ -306,22 +364,6 @@ TEST_F(DirtyTrackingTest, ReloadResetsDirtyState) {
   ASSERT_TRUE(cold.ok());
   EXPECT_FALSE(cold->warm);
   EXPECT_EQ(cold->pages_applied, 4u);
-}
-
-TEST_F(DirtyTrackingTest, DirtyTrackingOffAlwaysAppliesFully) {
-  ClientDevice device(SkuId::kMaliG71Mp8);
-  ReplayConfig config = PlanConfig();
-  config.dirty_tracking = false;
-  Replayer replayer(&device.gpu(), &device.tzasc(), &device.mem(),
-                    &device.timeline(), config);
-  ASSERT_TRUE(replayer.Load(MakeMemoryRecording()).ok());
-  for (int i = 0; i < 2; ++i) {
-    auto report = replayer.Replay();
-    ASSERT_TRUE(report.ok());
-    EXPECT_FALSE(report->warm);
-    EXPECT_EQ(report->pages_applied, 4u);
-    EXPECT_EQ(report->pages_skipped_clean, 0u);
-  }
 }
 
 }  // namespace
