@@ -2,7 +2,7 @@
 // fast path (src/record/plan) and the multi-session serving engine
 // (src/serve).
 //
-// Three sections, all written to BENCH_replay_serving.json so future PRs
+// Five sections, all written to BENCH_replay_serving.json so future PRs
 // can diff against this baseline:
 //
 //   1. Engine comparison — per example network, interpreter vs compiled
@@ -41,9 +41,16 @@
 //      pooled device. The bitwise gate lives here: every pooled answer
 //      must equal the private-device answer byte for byte, and the pool
 //      must actually report co-resident placements.
+//   5. Cold-miss ledger — host wall time of each step a plan-cache miss
+//      can take (store load, verify, compile, fuse, engine load, staging,
+//      cold replay, readback; median of N), beside the median service
+//      time of the misses a ReplayService serves while three digests of
+//      the recording cycle through a one-plan cache. The difference shows
+//      which steps a served miss still pays. Printed, never gated on time.
+//      Runs on mnist, squeezenet and resnet12.
 //
-// `--smoke` runs section 1 on MNIST only and exits nonzero if a gate
-// fails — scripts/ci.sh uses it as the perf regression gate.
+// `--smoke` runs sections 1 and 5 on MNIST only and exits nonzero if a
+// gate fails — scripts/ci.sh uses it as the perf regression gate.
 //
 // `--perf-gate` runs section 1 on vgg16 only and enforces the headline
 // fused-warm >= 1.5x gate — scripts/ci.sh runs it as the planopt perf
@@ -65,6 +72,7 @@
 
 #include "src/analysis/footprint/footprint.h"
 #include "src/analysis/planopt/planopt.h"
+#include "src/analysis/verifier.h"
 #include "src/cloud/session.h"
 #include "src/harness/experiment.h"
 #include "src/harness/rig.h"
@@ -117,6 +125,28 @@ struct RecordedNet {
   Bytes signed_recording;
   Bytes session_key;
 };
+
+// What a serving request stages for `net`: its input and every parameter
+// tensor.
+std::map<std::string, std::vector<float>> RequestTensors(
+    const NetworkDef& net, uint64_t input_seed) {
+  std::map<std::string, std::vector<float>> tensors;
+  tensors[net.input_tensor] = GenerateInput(net, input_seed);
+  for (const TensorDef& t : net.tensors) {
+    if (t.kind == TensorKind::kParam) {
+      tensors[t.name] = GenerateParams(net.name, t, kParamSeed);
+    }
+  }
+  return tensors;
+}
+
+// Upper median of wall-clock nanosecond samples, in milliseconds (0 for
+// none).
+double MedianMs(std::vector<int64_t> ns) {
+  if (ns.empty()) return 0.0;
+  std::sort(ns.begin(), ns.end());
+  return static_cast<double>(ns[ns.size() / 2]) / 1e6;
+}
 
 Result<RecordedNet> RecordOnce(const NetworkDef& net) {
   ClientDevice device(kSku, kNondetSeed);
@@ -437,12 +467,7 @@ Result<ScalingRow> RunScaling(const RecordingStore& store,
   for (size_t i = 0; i < total; ++i) {
     ReplayRequest request;
     request.workload = r.net.name;
-    request.tensors[r.net.input_tensor] = GenerateInput(r.net, kInputSeed + i);
-    for (const TensorDef& t : r.net.tensors) {
-      if (t.kind == TensorKind::kParam) {
-        request.tensors[t.name] = GenerateParams(r.net.name, t, kParamSeed);
-      }
-    }
+    request.tensors = RequestTensors(r.net, kInputSeed + i);
     request.output_tensor = r.net.output_tensor;
     futures.push_back(service.SubmitAsync(std::move(request)));
   }
@@ -494,11 +519,7 @@ Result<ScalingRow> RunScaling(const RecordingStore& store,
   };
   row.compile_service_ms = mean_ms(compile_ns);
   row.cold_service_ms = mean_ms(cold_ns);
-  if (!warm_ns.empty()) {
-    std::sort(warm_ns.begin(), warm_ns.end());
-    row.warm_service_ms =
-        static_cast<double>(warm_ns[warm_ns.size() / 2]) / 1e6;
-  }
+  row.warm_service_ms = MedianMs(warm_ns);
   row.plan_hits = metrics.counter("serve.plan_hits");
   row.plan_misses = metrics.counter("serve.plan_misses");
   row.warm_replays = metrics.counter("serve.warm_replays");
@@ -589,14 +610,7 @@ Result<PoolRow> RunPool(const RecordingStore& store,
     for (const RecordedNet* plan : plans) {
       ReplayRequest request;
       request.workload = plan->net.name;
-      request.tensors[plan->net.input_tensor] =
-          GenerateInput(plan->net, kInputSeed + i);
-      for (const TensorDef& t : plan->net.tensors) {
-        if (t.kind == TensorKind::kParam) {
-          request.tensors[t.name] =
-              GenerateParams(plan->net.name, t, kParamSeed);
-        }
-      }
+      request.tensors = RequestTensors(plan->net, kInputSeed + i);
       request.output_tensor = plan->net.output_tensor;
       ReplayResponse response = service.Submit(std::move(request));
       GRT_RETURN_IF_ERROR(response.status);
@@ -755,12 +769,157 @@ Result<std::vector<SweepRow>> RunDirtySweep(const RecordedNet& r) {
   return rows;
 }
 
+// ------------------------------------------------- cold-miss ledger
+
+// Networks the ledger runs on in full mode (--smoke: mnist alone).
+const char* const kMissLedgerNets[] = {"mnist", "squeezenet", "resnet12"};
+constexpr int kMissLedgerReps = 15;
+// The recording plus two re-signed twins: three digests for one plan slot.
+constexpr size_t kMissLedgerDigests = 3;
+
+bool RunsMissLedger(const std::string& workload) {
+  return std::find_if(std::begin(kMissLedgerNets), std::end(kMissLedgerNets),
+                      [&](const char* n) { return workload == n; }) !=
+         std::end(kMissLedgerNets);
+}
+
+// Host wall milliseconds per step of one plan-cache miss, median of
+// kMissLedgerReps, and the served misses beside them.
+struct MissLedgerRow {
+  std::string workload;
+  size_t blob_bytes = 0;  // the stored signed recording
+  double store_load_ms = 0;
+  double verify_ms = 0;
+  double compile_ms = 0;
+  double fuse_ms = 0;
+  double engine_load_ms = 0;
+  double stage_ms = 0;
+  double cold_replay_ms = 0;
+  double readback_ms = 0;
+  // Median service time of the misses a ReplayService served after each
+  // digest's first resolve, and the admissions it counted (one per
+  // digest when a miss on a current binding skips the store and the
+  // verifier).
+  double served_miss_ms = 0;
+  uint64_t admissions = 0;
+};
+
+Result<MissLedgerRow> RunMissLedger(const RecordedNet& r) {
+  MissLedgerRow row;
+  row.workload = r.net.name;
+  row.blob_bytes = r.signed_recording.size();
+  RecordingStore store(r.session_key);
+  GRT_RETURN_IF_ERROR(store.Install(r.signed_recording));
+  // Fill the store's parse cache: a resolve's store load is then the
+  // SHA-256 of the stored blob alone.
+  GRT_RETURN_IF_ERROR(store.LoadShared(r.net.name, kSku).status());
+  GRT_ASSIGN_OR_RETURN(GpuSku sku, FindSku(kSku));
+  const auto tensors = RequestTensors(r.net, kInputSeed);
+  auto out = r.recording.bindings.find(r.net.output_tensor);
+  if (out == r.recording.bindings.end()) {
+    return NotFound("no output binding for " + r.net.name);
+  }
+  std::vector<float> output(out->second.n_floats);
+
+  // The steps, timed one by one in the order a miss runs them. Each rep
+  // builds a fresh engine on one device, as a serving worker does when a
+  // recompiled plan lands on its device.
+  ClientDevice device(kSku, kNondetSeed);
+  ReplayConfig config;
+  config.static_verify = false;  // verification is its own step here
+  std::vector<int64_t> store_ns, verify_ns, compile_ns, fuse_ns, load_ns,
+      stage_ns, replay_ns, readback_ns;
+  auto since = [](std::chrono::steady_clock::time_point& t) {
+    auto now = std::chrono::steady_clock::now();
+    int64_t ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(now - t).count();
+    t = now;
+    return ns;
+  };
+  for (int i = 0; i < kMissLedgerReps; ++i) {
+    auto t = std::chrono::steady_clock::now();
+    GRT_ASSIGN_OR_RETURN(std::shared_ptr<const Recording> rec,
+                         store.LoadShared(r.net.name, kSku));
+    store_ns.push_back(since(t));
+    GRT_RETURN_IF_ERROR(VerifyRecording(*rec));
+    verify_ns.push_back(since(t));
+    auto plan = std::make_unique<ReplayPlan>(CompileReplayPlan(*rec));
+    compile_ns.push_back(since(t));
+    std::string decline;
+    GRT_RETURN_IF_ERROR(AttachWarmProgram(plan.get(), sku, &decline));
+    fuse_ns.push_back(since(t));
+    Replayer replayer(&device.gpu(), &device.tzasc(), &device.mem(),
+                      &device.timeline(), config);
+    GRT_RETURN_IF_ERROR(replayer.LoadShared(
+        rec, std::shared_ptr<const ReplayPlan>(std::move(plan))));
+    load_ns.push_back(since(t));
+    for (const auto& [name, data] : tensors) {
+      GRT_RETURN_IF_ERROR(replayer.StageTensor(name, data));
+    }
+    stage_ns.push_back(since(t));
+    GRT_ASSIGN_OR_RETURN(ReplayReport report, replayer.Replay());
+    replay_ns.push_back(since(t));
+    GRT_RETURN_IF_ERROR(replayer.ReadTensorInto(
+        r.net.output_tensor, output.data(), output.size()));
+    readback_ns.push_back(since(t));
+    if (report.warm) {
+      return Internal("cold-miss ledger: " + r.net.name +
+                      " replay on a fresh engine ran warm");
+    }
+  }
+  row.store_load_ms = MedianMs(store_ns);
+  row.verify_ms = MedianMs(verify_ns);
+  row.compile_ms = MedianMs(compile_ns);
+  row.fuse_ms = MedianMs(fuse_ns);
+  row.engine_load_ms = MedianMs(load_ns);
+  row.stage_ms = MedianMs(stage_ns);
+  row.cold_replay_ms = MedianMs(replay_ns);
+  row.readback_ms = MedianMs(readback_ns);
+
+  // Served misses: three digests cycled through a one-plan cache on one
+  // worker, so every request misses, recompiles and replays cold. The
+  // first cycle admits each digest; the misses after it are timed.
+  std::vector<std::string> names = {r.net.name};
+  Recording twin = r.recording;
+  for (const char* suffix : {"-b", "-c"}) {
+    twin.header.workload = r.net.name + suffix;
+    GRT_RETURN_IF_ERROR(store.Install(twin.SerializeSigned(r.session_key)));
+    names.push_back(twin.header.workload);
+  }
+  ServeConfig sconfig;
+  sconfig.sku = kSku;
+  sconfig.workers = 1;
+  sconfig.max_plans = 1;
+  ReplayService service(&store, sconfig);
+  GRT_RETURN_IF_ERROR(service.Start());
+  std::vector<int64_t> served_ns;
+  for (size_t i = 0; i < kMissLedgerDigests + kMissLedgerReps; ++i) {
+    ReplayRequest request;
+    request.workload = names[i % kMissLedgerDigests];
+    request.tensors = tensors;
+    request.output_tensor = r.net.output_tensor;
+    ReplayResponse response = service.Submit(std::move(request));
+    GRT_RETURN_IF_ERROR(response.status);
+    if (response.plan_cache_hit) {
+      return Internal("cold-miss ledger: " + r.net.name +
+                      " hit a one-plan cache cycling three digests");
+    }
+    if (i >= kMissLedgerDigests) {
+      served_ns.push_back(response.service_ns);
+    }
+  }
+  row.served_miss_ms = MedianMs(served_ns);
+  row.admissions = service.Stats().admissions;
+  return row;
+}
+
 void WriteJson(const std::string& path, bool smoke,
                const std::vector<EngineRow>& engines,
                const std::vector<KernelRow>& kernels,
                const std::vector<ScalingRow>& scaling,
                const std::vector<SweepRow>& sweep,
-               const std::vector<PoolRow>& pool, bool gates_ok) {
+               const std::vector<PoolRow>& pool,
+               const std::vector<MissLedgerRow>& ledger, bool gates_ok) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -912,6 +1071,23 @@ void WriteJson(const std::string& path, bool smoke,
         p.warm_fraction, p.avg_replay_ms,
         p.bitwise_identical ? "true" : "false",
         i + 1 < pool.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n  \"cold_miss_ledger\": [\n");
+  for (size_t i = 0; i < ledger.size(); ++i) {
+    const MissLedgerRow& l = ledger[i];
+    std::fprintf(
+        f,
+        "    {\"workload\": \"%s\", \"reps\": %d, \"blob_bytes\": %zu, "
+        "\"store_load_ms\": %.4f, \"verify_ms\": %.4f, "
+        "\"compile_ms\": %.4f, \"fuse_ms\": %.4f, "
+        "\"engine_load_ms\": %.4f, \"stage_ms\": %.4f, "
+        "\"cold_replay_ms\": %.4f, \"readback_ms\": %.4f, "
+        "\"served_miss_ms\": %.4f, \"served_admissions\": %llu}%s\n",
+        l.workload.c_str(), kMissLedgerReps, l.blob_bytes, l.store_load_ms,
+        l.verify_ms, l.compile_ms, l.fuse_ms, l.engine_load_ms, l.stage_ms,
+        l.cold_replay_ms, l.readback_ms, l.served_miss_ms,
+        static_cast<unsigned long long>(l.admissions),
+        i + 1 < ledger.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -1071,6 +1247,7 @@ int Run(bool smoke, const std::string& out_path) {
                           "plan bytes", "gates"});
   std::vector<EngineRow> engines;
   std::vector<KernelRow> kernels;
+  std::vector<MissLedgerRow> ledger;
   bool gates_ok = true;
   RecordedNet mnist{};  // kept for sections 2 and 3
   for (const NetworkDef& net : nets) {
@@ -1125,6 +1302,15 @@ int Run(bool smoke, const std::string& out_path) {
       gates_ok = false;
     }
     engines.push_back(*row);
+    if (RunsMissLedger(net.name)) {
+      auto ledger_row = RunMissLedger(*recorded);
+      if (!ledger_row.ok()) {
+        std::fprintf(stderr, "%s: cold-miss ledger failed: %s\n",
+                     net.name.c_str(), ledger_row.status().ToString().c_str());
+        return 1;
+      }
+      ledger.push_back(*ledger_row);
+    }
     if (net.name == "mnist") mnist = std::move(*recorded);
   }
   std::printf("Warm replay: interpreter vs compiled plan vs fused plan "
@@ -1174,6 +1360,27 @@ int Run(bool smoke, const std::string& out_path) {
   std::printf("\nKernel engine: fused warm replay wall clock, reference vs "
               "optimized kernels (min of %d)\n\n", kKernelWallReps);
   kernel_table.Print();
+
+  // Section 5: where a plan-cache miss's host time goes, step by step,
+  // and what a served miss on a current workload binding still pays.
+  TextTable ledger_table({"workload", "blob", "store load", "verify",
+                          "compile", "fuse", "engine load", "staging",
+                          "cold replay", "readback", "served miss",
+                          "admissions"});
+  for (const MissLedgerRow& l : ledger) {
+    ledger_table.AddRow(
+        {l.workload, FormatMb(static_cast<double>(l.blob_bytes)),
+         FormatMs(l.store_load_ms), FormatMs(l.verify_ms),
+         FormatMs(l.compile_ms), FormatMs(l.fuse_ms),
+         FormatMs(l.engine_load_ms), FormatMs(l.stage_ms),
+         FormatMs(l.cold_replay_ms), FormatMs(l.readback_ms),
+         FormatMs(l.served_miss_ms), std::to_string(l.admissions)});
+  }
+  std::printf("\nPlan-cache miss ledger: host wall per step (median of %d), "
+              "and the median served miss\nwhile %zu digests cycle through "
+              "a one-plan cache (first cycle excluded)\n\n",
+              kMissLedgerReps, kMissLedgerDigests);
+  ledger_table.Print();
 
   // Sections 2-4 ride on the MNIST recording.
   std::vector<ScalingRow> scaling;
@@ -1313,7 +1520,7 @@ int Run(bool smoke, const std::string& out_path) {
     pool_table.Print();
   }
 
-  WriteJson(out_path, smoke, engines, kernels, scaling, sweep, pool,
+  WriteJson(out_path, smoke, engines, kernels, scaling, sweep, pool, ledger,
             gates_ok);
   return gates_ok ? 0 : 1;
 }

@@ -543,7 +543,7 @@ Status CheckWarmProgram(const ReplayPlan& plan, const WarmProgram& warm,
   return OkStatus();
 }
 
-// ------------------------------------------------ verifier pass (ninth)
+// ----------------------------------------------- verifier pass (eighth)
 
 namespace {
 
@@ -571,18 +571,13 @@ class PlanoptSoundnessPass : public AnalysisPass {
     ReplayPlan plan = CompileReplayPlan(*in.recording, options);
     std::string reason;
     Status attached = AttachWarmProgram(&plan, *in.sku, &reason);
+    // AttachWarmProgram runs CheckWarmProgram on the built program and
+    // returns its verdict; a declined build attaches nothing and leaves
+    // the interpreter/plan paths available.
     if (!attached.ok()) {
       Error(report, -1,
             std::string("warm program failed its soundness check: ") +
                 attached.message());
-      return;
-    }
-    if (plan.warm == nullptr) {
-      return;  // declined — the interpreter/plan paths remain available
-    }
-    Status check = CheckWarmProgram(plan, *plan.warm, *in.sku);
-    if (!check.ok()) {
-      Error(report, -1, check.message());
     }
   }
 };

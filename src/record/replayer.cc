@@ -65,6 +65,10 @@ Status Replayer::Load(Recording recording) {
 
 Status Replayer::LoadShared(std::shared_ptr<const Recording> recording,
                             std::shared_ptr<const ReplayPlan> plan) {
+  // Every step below can fail after the previous load's state is gone or
+  // replaced; a failed load leaves the replayer unloaded, never running a
+  // recording or plan it just refused.
+  loaded_ = false;
   if (recording == nullptr) {
     return InvalidArgument("LoadShared with a null recording");
   }

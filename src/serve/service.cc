@@ -289,124 +289,120 @@ Result<Sha256Digest> ReplayService::Preload(const std::string& workload) {
 
 Result<ReplayService::ResolvedPlan> ReplayService::Resolve(
     const std::string& workload) {
-  // Warm fast path: if the store has not mutated since this workload's
-  // digest was resolved, the stored bytes are provably the ones we hashed
-  // then (Install/Remove are the only mutators and each bumps version()).
-  // Serving then touches no recording bytes at all — no SHA-256 over the
-  // blob, no parse-cache probe; that re-hash would otherwise dominate the
-  // warm path (it is ~5x the cost of the warm replay itself for MNIST).
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    auto bound = bindings_.find(workload);
-    if (bound != bindings_.end() &&
-        bound->second.store_version == store_->version()) {
-      auto it = plans_.find(bound->second.digest);
-      if (it != plans_.end()) {
-        lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-        {
-          std::lock_guard<std::mutex> slock(stats_mu_);
-          ++stats_.plan_hits;
-        }
-        ResolvedPlan resolved;
-        resolved.digest = bound->second.digest;
-        resolved.recording = it->second.recording;
-        resolved.plan = it->second.plan;
-        resolved.footprint = std::shared_ptr<const ResourceFootprint>(
-            resolved.recording, &resolved.recording->header.footprint);
-        resolved.generation = it->second.generation;
-        resolved.cache_hit = true;
-        return resolved;
-      }
-    }
-  }
-
-  // Cold path: one SHA-256 over the stored blob re-proves byte integrity
-  // (the store's digest-checked parse cache skips the re-parse).
-  uint64_t store_version = store_->version();
-  Sha256Digest digest{};
-  GRT_ASSIGN_OR_RETURN(std::shared_ptr<const Recording> recording,
-                       store_->LoadShared(workload, config_.sku, &digest));
-
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  bindings_[workload] = WorkloadBinding{store_version, digest};
-  auto it = plans_.find(digest);
-  if (it != plans_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+  GRT_TRACE_SPAN("resolve", "serve");
+  // A binding is current while the store has not mutated since it was
+  // written: Install and Remove are the only mutators and each bumps
+  // version(), so the stored bytes are provably the ones hashed,
+  // HMAC-checked and verified then. A current binding resolves without
+  // touching recording bytes at all — no SHA-256 over the blob, no
+  // parse-cache probe, and on a plan-cache miss no verifier run either.
+  // Read before any store load, so a binding written across a concurrent
+  // Install carries the older stamp and never passes for current.
+  std::unique_lock<std::mutex> lock(cache_mu_);
+  const uint64_t store_version = store_->version();
+  auto bound = bindings_.find(workload);
+  if (bound == bindings_.end() ||
+      bound->second.store_version != store_version) {
+    // The store moved (or this workload was never bound): stale bindings
+    // prove nothing, and the recordings they hold would keep removed or
+    // replaced bytes alive.
+    std::erase_if(bindings_, [store_version](const auto& b) {
+      return b.second.store_version != store_version;
+    });
+    lock.unlock();
+    // Admission: one SHA-256 over the stored blob re-proves byte
+    // integrity (the store's digest-checked parse cache skips the
+    // re-parse), then the verifier runs, once per binding. Workers later
+    // load with static_verify off — re-running eight analysis passes per
+    // worker (or worse, per request) is exactly the per-replay waste this
+    // engine exists to remove.
+    Sha256Digest digest{};
+    std::shared_ptr<const Recording> recording;
     {
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      ++stats_.plan_hits;
+      GRT_TRACE_SPAN("resolve.store_load", "serve");
+      GRT_ASSIGN_OR_RETURN(
+          recording, store_->LoadShared(workload, config_.sku, &digest));
     }
-    ResolvedPlan resolved;
-    resolved.digest = digest;
-    resolved.recording = it->second.recording;
-    resolved.plan = it->second.plan;
-    resolved.footprint = std::shared_ptr<const ResourceFootprint>(
-        resolved.recording, &resolved.recording->header.footprint);
-    resolved.generation = it->second.generation;
-    resolved.cache_hit = true;
-    return resolved;
-  }
-
-  // Admission: verify once per cached plan. Workers then load with
-  // static_verify off — re-running seven analysis passes per worker (or
-  // worse, per request) is exactly the per-replay waste this engine
-  // exists to remove.
-  if (config_.replay.static_verify) {
-    GRT_RETURN_IF_ERROR(VerifyRecording(*recording));
-  }
-  auto compiled = std::make_unique<ReplayPlan>(CompileReplayPlan(*recording));
-  // Superoptimize once per cached plan: every worker replayer then picks
-  // up the fused warm schedule through the shared plan. A failed
-  // provenance check refuses the plan outright; a declined build (the
-  // recording has no fusable shape) serves the plain v1 plan.
-  if (config_.fuse_plans) {
-    auto sku = FindSku(config_.sku);
-    if (sku.ok()) {
-      std::string decline_reason;
-      GRT_RETURN_IF_ERROR(
-          AttachWarmProgram(compiled.get(), sku.value(), &decline_reason));
+    lock.lock();
+    auto cached = plans_.find(digest);
+    if (cached != plans_.end()) {
+      // Same bytes as a cached plan: verified when that plan compiled.
+      recording = cached->second.recording;
+    } else {
+      if (config_.replay.static_verify) {
+        GRT_TRACE_SPAN("resolve.verify", "serve");
+        GRT_RETURN_IF_ERROR(VerifyRecording(*recording));
+      }
       std::lock_guard<std::mutex> slock(stats_mu_);
-      if (compiled->warm != nullptr) {
-        ++stats_.plans_fused;
-      } else {
-        ++stats_.fuse_declined;
+      ++stats_.admissions;
+    }
+    bound = bindings_
+                .insert_or_assign(workload,
+                                  WorkloadBinding{store_version, digest,
+                                                  std::move(recording)})
+                .first;
+  }
+  const WorkloadBinding& binding = bound->second;
+
+  auto it = plans_.find(binding.digest);
+  const bool cache_hit = it != plans_.end();
+  if (cache_hit) {
+    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+    std::lock_guard<std::mutex> slock(stats_mu_);
+    ++stats_.plan_hits;
+  } else {
+    auto compiled =
+        std::make_unique<ReplayPlan>(CompileReplayPlan(*binding.recording));
+    // Superoptimize once per cached plan: every worker replayer then
+    // picks up the fused warm schedule through the shared plan. A failed
+    // provenance check refuses the plan outright; a declined build (the
+    // recording has no fusable shape) serves the plain v1 plan.
+    if (config_.fuse_plans) {
+      auto sku = FindSku(config_.sku);
+      if (sku.ok()) {
+        std::string decline_reason;
+        GRT_RETURN_IF_ERROR(
+            AttachWarmProgram(compiled.get(), sku.value(), &decline_reason));
+        std::lock_guard<std::mutex> slock(stats_mu_);
+        if (compiled->warm != nullptr) {
+          ++stats_.plans_fused;
+        } else {
+          ++stats_.fuse_declined;
+        }
       }
     }
-  }
-  std::shared_ptr<const ReplayPlan> plan = std::move(compiled);
 
-  while (plans_.size() >= config_.max_plans) {
-    Sha256Digest victim = lru_.back();
-    lru_.pop_back();
-    plans_.erase(victim);
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    ++stats_.plan_evictions;
-    // Keep the residency snapshot honest at every mutation: refreshing it
-    // only on the insert below let a Stats() between evict and insert
-    // over-report cache residency.
-    stats_.plans_cached = plans_.size();
-  }
-  PlanEntry entry;
-  entry.recording = recording;
-  entry.plan = plan;
-  entry.generation = next_generation_++;
-  lru_.push_front(digest);
-  entry.lru_pos = lru_.begin();
-  plans_.emplace(digest, std::move(entry));
-  {
+    while (plans_.size() >= config_.max_plans) {
+      Sha256Digest victim = lru_.back();
+      lru_.pop_back();
+      plans_.erase(victim);
+      std::lock_guard<std::mutex> slock(stats_mu_);
+      ++stats_.plan_evictions;
+      // Keep the residency snapshot honest at every mutation: refreshing
+      // it only on the insert below let a Stats() between evict and
+      // insert over-report cache residency.
+      stats_.plans_cached = plans_.size();
+    }
+    PlanEntry entry;
+    entry.recording = binding.recording;
+    entry.plan = std::move(compiled);
+    entry.generation = next_generation_++;
+    lru_.push_front(binding.digest);
+    entry.lru_pos = lru_.begin();
+    it = plans_.emplace(binding.digest, std::move(entry)).first;
     std::lock_guard<std::mutex> slock(stats_mu_);
     ++stats_.plan_misses;
     stats_.plans_cached = plans_.size();
   }
 
   ResolvedPlan resolved;
-  resolved.digest = digest;
-  resolved.recording = std::move(recording);
-  resolved.plan = std::move(plan);
+  resolved.digest = binding.digest;
+  resolved.recording = it->second.recording;
+  resolved.plan = it->second.plan;
   resolved.footprint = std::shared_ptr<const ResourceFootprint>(
       resolved.recording, &resolved.recording->header.footprint);
-  resolved.generation = next_generation_ - 1;
-  resolved.cache_hit = false;
+  resolved.generation = it->second.generation;
+  resolved.cache_hit = cache_hit;
   return resolved;
 }
 
@@ -861,9 +857,9 @@ Status ReplayService::RunBatch(int index, std::vector<BatchMember*>& batch,
     }
     if (!request.output_tensor.empty()) {
       GRT_TRACE_SPAN("readback", "serve");
-      // Escape-analysed readback: size the response buffer once and let
-      // the replayer fill it through the patch-table chunks (or the
-      // page-walk fallback) — no intermediate vector per request.
+      // Size the response buffer once and let the replayer copy the
+      // tensor into it through the plan's patch-table chunks — no
+      // intermediate vector per request.
       auto bit = resolved.recording->bindings.find(request.output_tensor);
       if (bit == resolved.recording->bindings.end()) {
         return NotFound("no tensor binding '" + request.output_tensor + "'");
@@ -959,6 +955,7 @@ obs::MetricsSnapshot ReplayService::SnapshotMetrics() const {
   snap.counters["serve.plan_hits"] = s.plan_hits;
   snap.counters["serve.plan_misses"] = s.plan_misses;
   snap.counters["serve.plan_evictions"] = s.plan_evictions;
+  snap.counters["serve.admissions"] = s.admissions;
   snap.counters["serve.warm_replays"] = s.warm_replays;
   snap.counters["serve.coresident_placements"] = s.coresident_placements;
   snap.counters["serve.serializable_placements"] = s.serializable_placements;

@@ -11,7 +11,8 @@
 //     SHA-256 digest of the stored signed bytes, with LRU eviction at
 //     `max_plans`. Workers hold shared_ptrs, so evicting a plan mid-replay
 //     is safe — the replay finishes on the old plan and the next request
-//     recompiles.
+//     recompiles, from the recording already admitted while the store is
+//     unchanged.
 //   * an admission queue (bounded at `max_queue`) with per-request
 //     wall-clock deadlines: a request that waits past its deadline fails
 //     with a timeout instead of wasting a GPU on a stale answer.
@@ -77,13 +78,13 @@ struct ServeConfig {
   // Per-device nondeterminism seed base (device i uses seed+i).
   uint64_t nondet_seed = 1;
   // Engine knobs for every worker replayer. `static_verify` applies at
-  // plan admission (once per cached plan, not per worker or per request);
-  // `use_plan=false` runs the interpreter on every request (baseline mode
-  // for benches). `collect_observed` is ignored — a serving worker never
-  // collects observed logs. Disabling `scrub_before` (the per-replay
-  // reset fence) demotes serializable co-residency to conflicting at
-  // placement: the fence is the kSerializable verdict's soundness
-  // argument (src/analysis/footprint).
+  // admission (once per workload and store version, not per plan compile,
+  // worker or request); `use_plan=false` runs the interpreter on every
+  // request (baseline mode for benches). `collect_observed` is ignored —
+  // a serving worker never collects observed logs. Disabling
+  // `scrub_before` (the per-replay reset fence) demotes serializable
+  // co-residency to conflicting at placement: the fence is the
+  // kSerializable verdict's soundness argument (src/analysis/footprint).
   ReplayConfig replay;
   // Run the planopt superoptimizer on each cold-resolved plan and attach
   // the checked warm program (plan format v2). Workers then execute the
@@ -206,6 +207,11 @@ struct ServeStats {
   size_t plan_hits = 0;
   size_t plan_misses = 0;
   size_t plan_evictions = 0;
+  // Resolves that loaded a recording from the store and admitted it:
+  // verified it, unless static_verify is off. A plan-cache miss on a
+  // current workload binding compiles from the recording already
+  // admitted and does not count.
+  size_t admissions = 0;
   // Device-pool accounting. A placement is "coresident" when the chosen
   // device already hosted a different plan's engine; "serializable" when
   // the worst interference verdict on that device needed the reset fence;
@@ -295,10 +301,10 @@ class ReplayService {
   // submit with no workers would deadlock the caller).
   ReplayResponse Submit(ReplayRequest request);
 
-  // Resolves `workload` through the store, verifies it (once), compiles
-  // its plan into the cache, and returns the plan-cache digest. Serving
-  // does this lazily on first request; Preload lets a deployment pay
-  // compilation before opening the floodgates.
+  // Resolves `workload` through the store, verifies it (once per store
+  // version), compiles its plan into the cache, and returns the plan-cache
+  // digest. Serving does this lazily on first request; Preload lets a
+  // deployment pay compilation before opening the floodgates.
   Result<Sha256Digest> Preload(const std::string& workload);
 
   ServeStats Stats() const;
@@ -342,12 +348,15 @@ class ReplayService {
     std::list<Sha256Digest>::iterator lru_pos;
   };
 
-  // Workload-name -> digest binding, valid while the store's mutation
-  // counter still reads `store_version`. Lets the warm path resolve a
-  // request without re-hashing the stored blob (see Resolve()).
+  // Workload-name -> admitted recording, valid while the store's mutation
+  // counter still reads `store_version`. Lets a resolve skip the store
+  // (no re-hash of the stored blob) and, on a plan-cache miss, the
+  // verifier too (see Resolve()). `recording` is the object that passed
+  // admission; the store's parse cache holds the same one.
   struct WorkloadBinding {
     uint64_t store_version = 0;
     Sha256Digest digest{};
+    std::shared_ptr<const Recording> recording;
   };
 
   struct ResolvedPlan {

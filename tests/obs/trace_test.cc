@@ -242,6 +242,11 @@ TEST_F(TraceTest, ServiceTraceRoundTripsThroughChromeJson) {
   }
   EXPECT_EQ(by_name["request"], 6);
   EXPECT_EQ(by_name["queue"], 6);
+  // Every request resolves; only the first loads the recording from the
+  // store and verifies it; the other five hit the current binding's plan.
+  EXPECT_EQ(by_name["resolve"], 6);
+  EXPECT_EQ(by_name["resolve.store_load"], 1);
+  EXPECT_EQ(by_name["resolve.verify"], 1);
   EXPECT_EQ(by_name["stage_input"], 6);
   EXPECT_EQ(by_name["replay"], 6);
   EXPECT_EQ(by_name["readback"], 6);

@@ -4,11 +4,20 @@
 // distinguishable from each other, from generic kTimeout, and from replay
 // divergence, so callers can branch (retry with a larger budget vs reject
 // the recording) without string matching.
+//
+// A load that fails leaves the replayer unloaded: Replay() and
+// ReadTensor() then refuse with kFailedPrecondition.
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "src/analysis/planopt/planopt.h"
+#include "src/harness/experiment.h"
 #include "src/harness/rig.h"
 #include "src/hw/regs.h"
+#include "src/record/plan.h"
 #include "src/record/replayer.h"
+#include "src/sku/sku.h"
 
 namespace grt {
 namespace {
@@ -85,6 +94,52 @@ TEST_F(ReplayerErrorsTest, TheTwoExhaustionCodesAreDistinct) {
   EXPECT_EQ(IrqExpired("x").code(), StatusCode::kIrqExpired);
   EXPECT_FALSE(PollExhausted("x").ok());
   EXPECT_FALSE(IrqExpired("x").ok());
+}
+
+TEST_F(ReplayerErrorsTest, RejectedReloadLeavesReplayerUnloaded) {
+  // A reload that fails its warm-program check must not leave the
+  // previous load, or the refused plan, runnable: the refused plan's
+  // full schedule would run on the next Replay() and its unchecked warm
+  // program on the one after.
+  NetworkDef net = BuildMnist();
+  ClientDevice recorder(SkuId::kMaliG71Mp8, 11);
+  SpeculationHistory history;
+  auto m = RunRecordVariant(&recorder, net, "OursMDS", WifiConditions(),
+                            &history, 0);
+  ASSERT_TRUE(m.ok()) << m.status().ToString();
+  auto rec = Recording::ParseSigned(m->signed_recording, m->session_key);
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  auto recording = std::make_shared<const Recording>(std::move(*rec));
+  auto sku = FindSku(SkuId::kMaliG71Mp8);
+  ASSERT_TRUE(sku.ok());
+  ReplayPlan checked = CompileReplayPlan(*recording);
+  std::string decline;
+  ASSERT_TRUE(AttachWarmProgram(&checked, *sku, &decline).ok());
+  ASSERT_NE(checked.warm, nullptr) << "declined: " << decline;
+
+  ReplayConfig config;
+  config.static_verify = false;  // the warm-program check still runs
+  Replayer replayer(&device_.gpu(), &device_.tzasc(), &device_.mem(),
+                    &device_.timeline(), config);
+  ASSERT_TRUE(replayer
+                  .LoadShared(recording,
+                              std::make_shared<const ReplayPlan>(checked))
+                  .ok());
+  auto first = replayer.Replay();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+
+  auto cooked = std::make_shared<WarmProgram>(*checked.warm);
+  cooked->stats.fused_spans += 1;
+  auto tampered = std::make_shared<ReplayPlan>(checked);
+  tampered->warm = std::move(cooked);
+  Status reload = replayer.LoadShared(recording, std::move(tampered));
+  EXPECT_EQ(reload.code(), StatusCode::kIntegrityViolation)
+      << reload.ToString();
+
+  EXPECT_EQ(replayer.Replay().status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(replayer.ReadTensor(net.output_tensor).status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 }  // namespace

@@ -34,13 +34,19 @@ class ReplayServiceTest : public ::testing::Test {
     ASSERT_TRUE(m.ok()) << m.status().ToString();
     key_ = new Bytes(m->session_key);
     signed_ = new Bytes(m->signed_recording);
+    // A second distinct workload identity with identical content. Digest
+    // differs, so it occupies its own plan slot.
+    signed_b_ = new Bytes(Resigned("mnist-b", 0));
+  }
 
-    // A second distinct workload identity with identical content: parse,
-    // rename, re-sign. Digest differs, so it occupies its own plan slot.
+  // The suite's recording parsed, renamed to `workload`, its record nonce
+  // raised by `nonce_bump`, and re-signed: same content, new stored bytes.
+  static Bytes Resigned(const std::string& workload, uint64_t nonce_bump) {
     auto rec = Recording::ParseSigned(*signed_, *key_);
-    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
-    rec->header.workload = "mnist-b";
-    signed_b_ = new Bytes(rec->SerializeSigned(*key_));
+    EXPECT_TRUE(rec.ok()) << rec.status().ToString();
+    rec->header.workload = workload;
+    rec->header.record_nonce += nonce_bump;
+    return rec->SerializeSigned(*key_);
   }
 
   static void TearDownTestSuite() {
@@ -226,6 +232,131 @@ TEST_F(ReplayServiceTest, PlansCachedStaysConsistentAcrossEvictions) {
   EXPECT_EQ(snap.gauge("serve.plans_cached"), 1);
 }
 
+TEST_F(ReplayServiceTest, ChurnAdmitsEachDigestOnce) {
+  // Three digests cycled through a one-plan cache: every request misses,
+  // recompiles and replays cold, but each recording is hashed and
+  // verified only on its first resolve. Later misses compile from the
+  // recording their binding admitted, and serve the same bytes.
+  ASSERT_TRUE(store_->Install(Resigned("mnist-c", 0)).ok());
+  ServeConfig config;
+  config.sku = kSku;
+  config.workers = 1;
+  config.max_plans = 1;
+  ReplayService service(store_.get(), config);
+  ASSERT_TRUE(service.Start().ok());
+
+  const std::vector<std::string> workloads = {"mnist", "mnist-b", "mnist-c"};
+  std::vector<std::vector<float>> first_round;
+  for (int round = 0; round < 4; ++round) {
+    for (size_t k = 0; k < workloads.size(); ++k) {
+      ReplayResponse response =
+          service.Submit(MakeRequest(workloads[k], 42 + k));
+      ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+      EXPECT_FALSE(response.plan_cache_hit);
+      if (round == 0) {
+        EXPECT_LE(MaxAbsDiff(response.output, Reference(42 + k)), 1e-4f);
+        first_round.push_back(std::move(response.output));
+        continue;
+      }
+      ASSERT_EQ(response.output.size(), first_round[k].size());
+      EXPECT_EQ(std::memcmp(response.output.data(), first_round[k].data(),
+                            first_round[k].size() * sizeof(float)),
+                0)
+          << workloads[k] << " round " << round;
+    }
+  }
+  ServeStats stats = service.Stats();
+  EXPECT_EQ(stats.completed, 12u);
+  EXPECT_EQ(stats.plan_misses, 12u);
+  EXPECT_EQ(stats.plan_hits, 0u);
+  EXPECT_EQ(stats.admissions, 3u);
+}
+
+TEST_F(ReplayServiceTest, NewerInstallIsReadmitted) {
+  // A store mutation makes the next resolve re-admit: the binding of an
+  // evicted plan must not compile the recording it held before a newer
+  // one was installed under the same name.
+  ServeConfig config;
+  config.sku = kSku;
+  config.workers = 1;
+  config.max_plans = 1;
+  ReplayService service(store_.get(), config);
+  ASSERT_TRUE(service.Start().ok());
+  ASSERT_TRUE(service.Submit(MakeRequest("mnist", 42)).status.ok());
+  // mnist-b evicts mnist's plan; mnist stays bound.
+  ASSERT_TRUE(service.Submit(MakeRequest("mnist-b", 42)).status.ok());
+  ASSERT_EQ(service.Stats().admissions, 2u);
+
+  Bytes newer = Resigned("mnist", 1);
+  ASSERT_TRUE(store_->Install(newer).ok());
+  ReplayResponse response = service.Submit(MakeRequest("mnist", 42));
+  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  EXPECT_FALSE(response.plan_cache_hit);
+  EXPECT_EQ(response.digest, Sha256::Hash(newer));
+  EXPECT_NE(response.digest, Sha256::Hash(*signed_));
+  EXPECT_LE(MaxAbsDiff(response.output, Reference(42)), 1e-4f);
+  EXPECT_EQ(service.Stats().admissions, 3u);
+}
+
+TEST_F(ReplayServiceTest, RemovedWorkloadIsNotServedFromItsBinding) {
+  ServeConfig config;
+  config.sku = kSku;
+  config.workers = 1;
+  config.max_plans = 1;
+  ReplayService service(store_.get(), config);
+  ASSERT_TRUE(service.Start().ok());
+  ASSERT_TRUE(service.Submit(MakeRequest("mnist", 42)).status.ok());
+  // mnist-b evicts mnist's plan; mnist stays bound.
+  ASSERT_TRUE(service.Submit(MakeRequest("mnist-b", 42)).status.ok());
+
+  ASSERT_TRUE(store_->Remove("mnist", kSku).ok());
+  ReplayResponse removed = service.Submit(MakeRequest("mnist", 42));
+  EXPECT_EQ(removed.status.code(), StatusCode::kNotFound)
+      << removed.status.ToString();
+  EXPECT_TRUE(removed.output.empty());
+
+  // mnist-b's bytes are unchanged and its plan is still cached: it
+  // re-binds through the store (one hash) without a second verification.
+  ReplayResponse kept = service.Submit(MakeRequest("mnist-b", 42));
+  ASSERT_TRUE(kept.status.ok()) << kept.status.ToString();
+  EXPECT_TRUE(kept.plan_cache_hit);
+  EXPECT_EQ(service.Stats().admissions, 2u);
+}
+
+TEST_F(ReplayServiceTest, InstallsRacingChurnServeOnlyCurrentBytes) {
+  // Two workers churn two digests through a one-plan cache while newer
+  // mnist-b recordings are installed: resolves race store mutations.
+  // Every request must serve, and once the installs stop the next
+  // mnist-b request must serve the last installed bytes.
+  ServeConfig config;
+  config.sku = kSku;
+  config.workers = 2;
+  config.max_plans = 1;
+  ReplayService service(store_.get(), config);
+  ASSERT_TRUE(service.Start().ok());
+
+  constexpr int kInstalls = 3;
+  std::vector<std::future<ReplayResponse>> futures;
+  Bytes last;
+  for (int i = 0; i < 8 * kInstalls; ++i) {
+    futures.push_back(service.SubmitAsync(
+        MakeRequest(i % 2 == 0 ? "mnist" : "mnist-b", 42)));
+    if (i % 8 == 7) {
+      last = Resigned("mnist-b", static_cast<uint64_t>(i / 8 + 1));
+      ASSERT_TRUE(store_->Install(last).ok());
+    }
+  }
+  std::vector<float> want = Reference(42);
+  for (auto& f : futures) {
+    ReplayResponse response = f.get();
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    EXPECT_LE(MaxAbsDiff(response.output, want), 1e-4f);
+  }
+  ReplayResponse after = service.Submit(MakeRequest("mnist-b", 42));
+  ASSERT_TRUE(after.status.ok()) << after.status.ToString();
+  EXPECT_EQ(after.digest, Sha256::Hash(last));
+}
+
 TEST_F(ReplayServiceTest, DeadlineExpiresWhileQueued) {
   ServeConfig config;
   config.sku = kSku;
@@ -382,6 +513,7 @@ TEST_F(ReplayServiceTest, SnapshotMetricsMatchesGroundTruth) {
   EXPECT_EQ(snap.counter("serve.expired"), stats.expired);
   EXPECT_EQ(snap.counter("serve.plan_hits"), stats.plan_hits);
   EXPECT_EQ(snap.counter("serve.plan_misses"), stats.plan_misses);
+  EXPECT_EQ(snap.counter("serve.admissions"), stats.admissions);
   EXPECT_EQ(snap.counter("serve.warm_replays"), stats.warm_replays);
   EXPECT_EQ(snap.counter("serve.pages_applied"), stats.pages_applied);
   EXPECT_EQ(snap.counter("serve.mem_bytes_applied"), stats.mem_bytes_applied);
@@ -390,6 +522,7 @@ TEST_F(ReplayServiceTest, SnapshotMetricsMatchesGroundTruth) {
             static_cast<int64_t>(stats.plans_cached));
   EXPECT_EQ(stats.completed, 6u);
   EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.admissions, 2u);  // the unknown workload admits nothing
 
   // Both histograms see every dequeued request — the 6 completions and
   // the failed lookup (it still waited in the queue and consumed service
