@@ -23,11 +23,12 @@
 //      offering vgg16 well above its token-bucket admission rate, and an
 //      unthrottled "trickle" tenant offering mnist at a low steady rate.
 //      The trickle tenant's latency is measured solo first, then under
-//      the flood. Gates: trickle p95 under flood <= 3x trickle p95 solo,
-//      zero trickle requests shed while the flood tenant is over its
-//      bucket (its overflow must be throttled at the door, charged to the
-//      flood tenant), and flood throttles actually observed. Jain's
-//      fairness index over per-tenant useful service is reported.
+//      the flood, each over the same 120-request schedule in every mode.
+//      Gates: trickle p95 under flood <= 3x trickle p95 solo, zero
+//      trickle requests shed while the flood tenant is over its bucket
+//      (its overflow must be throttled at the door, charged to the flood
+//      tenant), and flood throttles actually observed. Jain's fairness
+//      index over per-tenant useful service is reported.
 //   4. Batching — mnist and a conflicting re-signed twin alternate on a
 //      ONE-device pool at a fixed offered rate, so every unbatched
 //      workload switch is a conflict eviction (cold rebuild). Same-digest
@@ -38,10 +39,10 @@
 //
 // `--smoke` runs sections 1-2 with a short schedule and exits nonzero if
 // a gate fails — scripts/ci.sh uses it as the serving-path regression
-// gate. `--fairness-gate` runs sections 3-4 with short schedules (the CI
-// multi-tenant smoke). Gates: bitwise fidelity, every offered request
-// answered, a nonzero OK count at every rate, and the fairness/batching
-// gates above.
+// gate. `--fairness-gate` runs sections 3-4, section 4 with a short
+// schedule (the CI multi-tenant smoke). Gates: bitwise fidelity, every
+// offered request answered, a nonzero OK count at every rate, and the
+// fairness/batching gates above.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -312,8 +313,12 @@ struct FairnessSection {
 };
 
 constexpr double kTricklePressureRatio = 3.0;  // p95 budget vs solo
+// Each trickle phase (solo, then under the flood) runs this long: 120
+// requests at 20 rps. The gate divides two p95s; over 30 requests the
+// two slowest set the solo baseline, over 120 it takes seven.
+constexpr double kFairnessPhaseS = 6.0;
 
-Result<FairnessSection> RunFairness(bool quick) {
+Result<FairnessSection> RunFairness() {
   FairnessSection section;
   section.ran = true;
   section.trickle_rps = 20;
@@ -372,7 +377,7 @@ Result<FairnessSection> RunFairness(bool quick) {
     }
   }
 
-  const double dur = quick ? 1.5 : 4.0;
+  const double dur = kFairnessPhaseS;
   // Phase 1: trickle tenant alone — the latency baseline.
   GRT_ASSIGN_OR_RETURN(section.solo,
                        RunLoad(frontend.port(), mnist_net,
@@ -877,7 +882,7 @@ int Run(Mode mode, const std::string& out_path) {
   BatchingSection batching;
   if (mode != Mode::kSmoke) {
     const bool quick = mode == Mode::kFairnessGate;
-    auto f = RunFairness(quick);
+    auto f = RunFairness();
     if (!f.ok()) {
       std::fprintf(stderr, "fairness section failed: %s\n",
                    f.status().ToString().c_str());

@@ -70,7 +70,7 @@ int main() {
               ok_diff.entries_compared);
 
   // Malfunctioning device: JS0_STATUS reports a corrupted completion code.
-  device.gpu().InjectRegisterFault(kJobSlotBase + kJsStatus, 0x2);
+  device.gpu().InjectRegisterFault(JobSlotRegister(0, kJsStatus), 0x2);
   auto faulty = ObservedReplayLog(&device, *recording);
   device.gpu().ClearRegisterFault();
   if (!faulty.ok()) {

@@ -23,25 +23,6 @@ uint64_t ImageU64(const Bytes& image, uint64_t offset) {
   return v;
 }
 
-bool JobSlotReg(uint32_t reg, int* slot, uint32_t* rel) {
-  if (reg < kJobSlotBase ||
-      reg >= kJobSlotBase + kMaxJobSlots * kJobSlotStride) {
-    return false;
-  }
-  *slot = static_cast<int>((reg - kJobSlotBase) / kJobSlotStride);
-  *rel = (reg - kJobSlotBase) % kJobSlotStride;
-  return true;
-}
-
-bool AddressSpaceReg(uint32_t reg, int* as, uint32_t* rel) {
-  if (reg < kAsBase || reg >= kAsBase + kMaxAddressSpaces * kAsStride) {
-    return false;
-  }
-  *as = static_cast<int>((reg - kAsBase) / kAsStride);
-  *rel = (reg - kAsBase) % kAsStride;
-  return true;
-}
-
 // Accumulates unit-granularity access bits and coalesces them into sorted
 // [lo, hi) ranges of equal access on extraction.
 class AccessMap {
@@ -70,16 +51,6 @@ class AccessMap {
   uint64_t unit_;
   std::map<uint64_t, uint8_t> acc_;
 };
-
-// The register an IRQ wait on `line` observes (the rawstat the replayer
-// level-checks while waiting).
-uint32_t IrqLineRawstat(int line) {
-  switch (line) {
-    case 0: return kRegJobIrqRawstat;
-    case 1: return kRegGpuIrqRawstat;
-    default: return kRegMmuIrqRawstat;
-  }
-}
 
 // Walks one recorded page-table tree, adding every reachable leaf mapping
 // to `pages` (read always — the GPU may fetch through it — write when the
@@ -285,9 +256,9 @@ ResourceFootprint ComputeFootprint(const Recording& rec, const GpuSku* sku) {
         int slot = 0;
         int as = 0;
         uint32_t rel = 0;
-        if (JobSlotReg(e.reg, &slot, &rel)) {
+        if (DecodeJobSlotRegister(e.reg, &slot, &rel)) {
           fp.slot_write_mask |= 1u << slot;
-        } else if (AddressSpaceReg(e.reg, &as, &rel)) {
+        } else if (DecodeAsRegister(e.reg, &as, &rel)) {
           fp.as_write_mask |= 1u << as;
           if (rel == kAsTranstabLo) {
             transtab_lo[as] = e.value;
@@ -307,12 +278,12 @@ ResourceFootprint ComputeFootprint(const Recording& rec, const GpuSku* sku) {
         break;
       case LogOp::kIrqWait: {
         fp.irq_lines |= e.irq_lines;
-        for (int line = 0; line < 3; ++line) {
-          if ((e.irq_lines & (1u << line)) == 0) {
-            continue;
-          }
-          if ((observe(IrqLineRawstat(line)) & kFpExternal) != 0) {
-            fp.irq_external |= 1u << line;
+        // A wait observes each waited line's RAWSTAT (the replayer
+        // level-checks it while waiting).
+        for (const IrqLine& line : kIrqLines) {
+          if ((e.irq_lines & line.bit) != 0 &&
+              (observe(line.rawstat) & kFpExternal) != 0) {
+            fp.irq_external |= line.bit;
           }
         }
         break;

@@ -24,31 +24,6 @@ std::string Fmt(const char* format, ...) {
   return buf;
 }
 
-// Decomposes a job-slot register offset into (slot, per-slot offset).
-bool JobSlotReg(uint32_t reg, int* slot, uint32_t* rel) {
-  if (reg < kJobSlotBase ||
-      reg >= kJobSlotBase + kMaxJobSlots * kJobSlotStride) {
-    return false;
-  }
-  *slot = static_cast<int>((reg - kJobSlotBase) / kJobSlotStride);
-  *rel = (reg - kJobSlotBase) % kJobSlotStride;
-  return true;
-}
-
-// Decomposes an address-space register offset into (as, per-AS offset).
-bool AddressSpaceReg(uint32_t reg, int* as, uint32_t* rel) {
-  if (reg < kAsBase || reg >= kAsBase + kMaxAddressSpaces * kAsStride) {
-    return false;
-  }
-  *as = static_cast<int>((reg - kAsBase) / kAsStride);
-  *rel = (reg - kAsBase) % kAsStride;
-  return true;
-}
-
-bool IsFlushCommand(uint32_t value) {
-  return value == kGpuCommandCleanCaches || value == kGpuCommandCleanInvCaches;
-}
-
 }  // namespace
 
 // --------------------------------------------------------------- grammar
@@ -102,7 +77,7 @@ void GrammarPass::Run(const AnalysisInput& in, AnalysisReport* report) const {
       case LogOp::kIrqWait:
         if (e.irq_lines == 0) {
           Error(report, at, "irq wait on no interrupt lines (never returns)");
-        } else if ((e.irq_lines & ~0x07u) != 0) {
+        } else if ((e.irq_lines & ~kIrqLinesAll) != 0) {
           Error(report, at,
                 Fmt("unknown interrupt line bits 0x%02X (only job/gpu/mmu "
                     "exist)",
@@ -173,8 +148,7 @@ void RegisterProtocolPass::Run(const AnalysisInput& in,
 
     switch (e.reg) {
       case kRegGpuCommand:
-        if (e.value == kGpuCommandSoftReset ||
-            e.value == kGpuCommandHardReset) {
+        if (IsResetCommand(e.value)) {
           reset_seen = true;
           flush_inflight = false;
           slot_busy.fill(false);
@@ -208,7 +182,7 @@ void RegisterProtocolPass::Run(const AnalysisInput& in,
 
     int as;
     uint32_t rel;
-    if (AddressSpaceReg(e.reg, &as, &rel)) {
+    if (DecodeAsRegister(e.reg, &as, &rel)) {
       auto a = static_cast<size_t>(as);
       if (rel == kAsTranstabLo) {
         transtab_written[a] = true;
@@ -233,7 +207,7 @@ void RegisterProtocolPass::Run(const AnalysisInput& in,
     }
 
     int slot;
-    if (!JobSlotReg(e.reg, &slot, &rel)) {
+    if (!DecodeJobSlotRegister(e.reg, &slot, &rel)) {
       continue;
     }
     auto s = static_cast<size_t>(slot);
@@ -241,7 +215,7 @@ void RegisterProtocolPass::Run(const AnalysisInput& in,
       last_affinity[s] = e.value;
     } else if (rel == kJsConfigNext || rel == kJsConfig) {
       last_config[s] = e.value;
-    } else if (rel == kJsCommandNext && e.value == kJsCommandStart) {
+    } else if (IsJobStartWrite(e.reg, e.value)) {
       if (!reset_seen) {
         Error(report, at,
               Fmt("job submitted on slot %d before the GPU was reset", slot));
@@ -385,7 +359,7 @@ void MetastateCoveragePass::Run(const AnalysisInput& in,
 
     int as;
     uint32_t rel;
-    if (AddressSpaceReg(e.reg, &as, &rel)) {
+    if (DecodeAsRegister(e.reg, &as, &rel)) {
       auto a = static_cast<size_t>(as);
       if (rel == kAsTranstabLo) {
         transtab_lo[a] = e.value;
@@ -396,7 +370,7 @@ void MetastateCoveragePass::Run(const AnalysisInput& in,
       continue;
     }
     int slot;
-    if (!JobSlotReg(e.reg, &slot, &rel)) {
+    if (!DecodeJobSlotRegister(e.reg, &slot, &rel)) {
       continue;
     }
     auto s = static_cast<size_t>(slot);
@@ -406,7 +380,7 @@ void MetastateCoveragePass::Run(const AnalysisInput& in,
       head_hi[s] = e.value;
     } else if (rel == kJsConfigNext) {
       config[s] = e.value;
-    } else if (rel == kJsCommandNext && e.value == kJsCommandStart) {
+    } else if (IsJobStartWrite(e.reg, e.value)) {
       if (!any_meta) {
         Error(report, at,
               Fmt("job submitted on slot %d without any preceding metastate "
@@ -573,7 +547,7 @@ void SkuCompatPass::Run(const AnalysisInput& in,
     }
     int slot;
     uint32_t rel;
-    if (JobSlotReg(e.reg, &slot, &rel)) {
+    if (DecodeJobSlotRegister(e.reg, &slot, &rel)) {
       if (static_cast<uint32_t>(slot) >= sku.js_count) {
         Error(report, at,
               Fmt("touches job slot %d; %s has %u slots", slot,
@@ -595,7 +569,7 @@ void SkuCompatPass::Run(const AnalysisInput& in,
       continue;
     }
     int as;
-    if (AddressSpaceReg(e.reg, &as, &rel) &&
+    if (DecodeAsRegister(e.reg, &as, &rel) &&
         static_cast<uint32_t>(as) >= sku.as_count) {
       Error(report, at,
             Fmt("touches address space %d; %s has %u", as, sku.name.c_str(),

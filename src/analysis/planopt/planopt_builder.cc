@@ -53,7 +53,7 @@ bool BuildWarmProgram(const ReplayPlan& plan, const GpuSku& /*sku*/,
 
   size_t first_start = ops.size();
   for (size_t i = 0; i < ops.size(); ++i) {
-    if (planopt::IsJobStartWrite(ops[i])) {
+    if (planopt::IsJobStartOp(ops[i])) {
       first_start = i;
       break;
     }
@@ -140,13 +140,16 @@ bool BuildWarmProgram(const ReplayPlan& plan, const GpuSku& /*sku*/,
           break;
         }
         case PlanOpKind::kRegWrite: {
+          // Job-slot writes are never latch-elided: the soundness walk
+          // derives per-slot affinity and job-start legality from the
+          // retained schedule alone, so every _NEXT write must stay
+          // visible in the warm program.
           if (ClassifyRegister(op.reg) == RegClass::kCpuConfig &&
               !WriteHasSideEffects(op.reg, op.value) &&
-              !planopt::IsJobSlotRegister(op.reg) &&
+              !IsJobSlotRegister(op.reg) &&
               op.value == warm_latch.Get(op.reg)) {
             r.kind = PlanRewriteKind::kElideNoopLatch;
-          } else if (op.reg == kRegGpuCommand &&
-                     ClassifyGpuCommand(op.value) != GpuCommandKind::kNop) {
+          } else if (op.reg == kRegGpuCommand && op.value != kGpuCommandNop) {
             // A reset or flush outside its closure grammar cannot be
             // retained (it would bump the reset epoch or wedge the IRQ
             // line) and cannot be proven elidable on its own.
@@ -159,21 +162,12 @@ bool BuildWarmProgram(const ReplayPlan& plan, const GpuSku& /*sku*/,
           // The warm schedule must mask each waited line exactly as the
           // recorded schedule did at this point, else line assertion
           // could diverge.
-          struct LineMask {
-            uint8_t line;
-            uint32_t reg;
-          };
-          static constexpr LineMask kLines[] = {
-              {planopt::kIrqLineJob, kRegJobIrqMask},
-              {planopt::kIrqLineGpu, kRegGpuIrqMask},
-              {planopt::kIrqLineMmu, kRegMmuIrqMask},
-          };
-          for (const LineMask& lm : kLines) {
-            if ((op.irq_lines & lm.line) != 0 &&
-                src_latch.Get(lm.reg) != warm_latch.Get(lm.reg)) {
+          for (const IrqLine& line : kIrqLines) {
+            if ((op.irq_lines & line.bit) != 0 &&
+                src_latch.Get(line.mask) != warm_latch.Get(line.mask)) {
               return decline("irq wait at op " + std::to_string(i) +
                              " under a diverged " +
-                             std::string(RegisterName(lm.reg)));
+                             std::string(RegisterName(line.mask)));
             }
           }
           break;
@@ -214,7 +208,7 @@ bool BuildWarmProgram(const ReplayPlan& plan, const GpuSku& /*sku*/,
                      " depends on elided interrupt bits");
     }
     if (op.kind == PlanOpKind::kIrqWait &&
-        (op.irq_lines & planopt::kIrqLineGpu) != 0 && owned != 0) {
+        (op.irq_lines & kIrqLineGpu) != 0 && owned != 0) {
       return decline("retained GPU-line irq wait at op " + std::to_string(i) +
                      " with elided GPU interrupt sources");
     }

@@ -160,7 +160,7 @@ Status CheckWarmProgram(const ReplayPlan& plan, const WarmProgram& warm,
 
   size_t first_start = ops.size();
   for (size_t i = 0; i < ops.size(); ++i) {
-    if (planopt::IsJobStartWrite(ops[i])) {
+    if (planopt::IsJobStartOp(ops[i])) {
       first_start = i;
       break;
     }
@@ -305,7 +305,7 @@ Status CheckWarmProgram(const ReplayPlan& plan, const WarmProgram& warm,
             op.value != warm_latch.Get(op.reg)) {
           return CheckFail(i, "write is not a no-op on the warm latch state");
         }
-        if (planopt::IsJobSlotRegister(op.reg)) {
+        if (IsJobSlotRegister(op.reg)) {
           return CheckFail(i, "job-slot write hidden from the power walk");
         }
         ++re.elided_noop_latches;
@@ -341,17 +341,13 @@ Status CheckWarmProgram(const ReplayPlan& plan, const WarmProgram& warm,
         if (*ck == ClosureKind::kAs && op.kind == PlanOpKind::kRegWrite) {
           int as_index = -1;
           uint32_t as_reg = 0;
-          if (!planopt::DecodeAsRegister(op.reg, &as_index, &as_reg)) {
+          if (!DecodeAsRegister(op.reg, &as_index, &as_reg)) {
             return CheckFail(i, "AS closure member outside the AS block");
           }
           if (as_reg == kAsCommand) {
-            uint32_t base = kAsBase + as_index * kAsStride;
-            uint64_t root =
-                (static_cast<uint64_t>(warm_latch.Get(base + kAsTranstabHi))
-                 << 32) |
-                warm_latch.Get(base + kAsTranstabLo);
             if (op.value != kAsCommandUpdate ||
-                root != warm_latch.as_root(as_index)) {
+                warm_latch.transtab(as_index) !=
+                    warm_latch.as_root(as_index)) {
               return CheckFail(i, "elided AS UPDATE would change the root");
             }
           } else if (op.value != warm_latch.Get(op.reg)) {
@@ -377,28 +373,19 @@ Status CheckWarmProgram(const ReplayPlan& plan, const WarmProgram& warm,
         return CheckFail(i, "retained poll depends on owned interrupt bits");
       }
       if (op.kind == PlanOpKind::kIrqWait) {
-        if ((op.irq_lines & planopt::kIrqLineGpu) != 0 && owned != 0) {
+        if ((op.irq_lines & kIrqLineGpu) != 0 && owned != 0) {
           return CheckFail(i, "retained GPU-line wait with owned bits");
         }
-        struct LineMask {
-          uint8_t line;
-          uint32_t reg;
-        };
-        static constexpr LineMask kLines[] = {
-            {planopt::kIrqLineJob, kRegJobIrqMask},
-            {planopt::kIrqLineGpu, kRegGpuIrqMask},
-            {planopt::kIrqLineMmu, kRegMmuIrqMask},
-        };
-        for (const LineMask& lm : kLines) {
-          if ((op.irq_lines & lm.line) != 0 &&
-              src_latch.Get(lm.reg) != warm_latch.Get(lm.reg)) {
+        for (const IrqLine& line : kIrqLines) {
+          if ((op.irq_lines & line.bit) != 0 &&
+              src_latch.Get(line.mask) != warm_latch.Get(line.mask)) {
             return CheckFail(i, std::string("waited line masked differently "
                                             "in warm schedule (") +
-                                    RegisterName(lm.reg) + ")");
+                                    RegisterName(line.mask) + ")");
           }
         }
         // --------------------------------------------- (F) job freshness
-        if ((op.irq_lines & planopt::kIrqLineJob) != 0) {
+        if ((op.irq_lines & kIrqLineJob) != 0) {
           if (!started_since_wait) {
             return CheckFail(i, "job-IRQ wait without a fresh job start");
           }
@@ -409,7 +396,7 @@ Status CheckWarmProgram(const ReplayPlan& plan, const WarmProgram& warm,
       }
       if (op.kind == PlanOpKind::kRegWrite) {
         int slot = -1;
-        if (planopt::IsJobStartWrite(op, &slot)) {
+        if (planopt::IsJobStartOp(op, &slot)) {
           if (pending_ack_slot >= 0) {
             return CheckFail(i, "job start before the previous completion "
                                 "was acknowledged");

@@ -5,51 +5,10 @@
 namespace grt {
 namespace planopt {
 
-namespace {
-
-// Slot-relative decode of a job-control offset; false outside the block.
-bool DecodeJsRegister(uint32_t reg, int* slot, uint32_t* js_reg) {
-  if (reg < kJobSlotBase ||
-      reg >= kJobSlotBase + kMaxJobSlots * kJobSlotStride) {
-    return false;
-  }
-  *slot = static_cast<int>((reg - kJobSlotBase) / kJobSlotStride);
-  *js_reg = (reg - kJobSlotBase) % kJobSlotStride;
-  return true;
-}
-
-}  // namespace
-
-bool IsJobStartWrite(uint32_t reg, uint32_t value, int* slot) {
-  int s = 0;
-  uint32_t js_reg = 0;
-  if (!DecodeJsRegister(reg, &s, &js_reg)) {
-    return false;
-  }
-  if (js_reg != kJsCommandNext || value != kJsCommandStart) {
-    return false;
-  }
-  if (slot != nullptr) {
-    *slot = s;
-  }
-  return true;
-}
-
-bool IsJobStartWrite(const PlanOp& op, int* slot) {
-  return op.kind == PlanOpKind::kRegWrite &&
-         IsJobStartWrite(op.reg, op.value, slot);
-}
-
-bool IsJobSlotRegister(uint32_t reg) {
-  int s = 0;
-  uint32_t js_reg = 0;
-  return DecodeJsRegister(reg, &s, &js_reg);
-}
-
 bool IsAffinityNextWrite(uint32_t reg, int* slot, bool* is_hi) {
   int s = 0;
   uint32_t js_reg = 0;
-  if (!DecodeJsRegister(reg, &s, &js_reg)) {
+  if (!DecodeJobSlotRegister(reg, &s, &js_reg)) {
     return false;
   }
   if (js_reg != kJsAffinityNextLo && js_reg != kJsAffinityNextHi) {
@@ -72,15 +31,6 @@ const char* ClosureKindName(ClosureKind kind) {
       return "as";
   }
   return "?";
-}
-
-bool DecodeAsRegister(uint32_t reg, int* as_index, uint32_t* as_reg) {
-  if (reg < kAsBase || reg >= kAsBase + kMaxAddressSpaces * kAsStride) {
-    return false;
-  }
-  *as_index = static_cast<int>((reg - kAsBase) / kAsStride);
-  *as_reg = (reg - kAsBase) % kAsStride;
-  return true;
 }
 
 namespace {
@@ -117,7 +67,7 @@ bool IsGpuIrqPoll(const PlanOp& op, uint32_t allowed_bits) {
 std::optional<Closure> MatchFlushAt(const std::vector<PlanOp>& ops, size_t i) {
   const PlanOp& first = ops[i];
   if (first.kind != PlanOpKind::kRegWrite || first.reg != kRegGpuCommand ||
-      ClassifyGpuCommand(first.value) != GpuCommandKind::kCacheFlush) {
+      !IsFlushCommand(first.value)) {
     return std::nullopt;
   }
   size_t j = i + 1;
@@ -149,8 +99,7 @@ std::optional<Closure> MatchResetAt(const std::vector<PlanOp>& ops, size_t i) {
       ops[j].reg != kRegGpuCommand) {
     return std::nullopt;
   }
-  GpuCommandKind cmd = ClassifyGpuCommand(ops[j].value);
-  if (cmd != GpuCommandKind::kSoftReset && cmd != GpuCommandKind::kHardReset) {
+  if (!IsResetCommand(ops[j].value)) {
     return std::nullopt;
   }
   ++j;
@@ -273,11 +222,8 @@ bool ClosureIsPureBringUp(const std::vector<PlanOp>& ops, const Closure& c) {
 }
 
 void LatchState::Reset() {
-  // SoftReset zeroes every latch it owns; PWR_KEY / PWR_OVERRIDE* are
-  // the only kCpuConfig registers a reset leaves alone (gpu.cc).
   for (auto it = regs_.begin(); it != regs_.end();) {
-    if (it->first == kRegPwrKey || it->first == kRegPwrOverride0 ||
-        it->first == kRegPwrOverride1) {
+    if (LatchSurvivesReset(it->first)) {
       ++it;
     } else {
       it = regs_.erase(it);
@@ -290,9 +236,7 @@ void LatchState::Reset() {
 
 void LatchState::Write(uint32_t reg, uint32_t value) {
   if (reg == kRegGpuCommand) {
-    GpuCommandKind kind = ClassifyGpuCommand(value);
-    if (kind == GpuCommandKind::kSoftReset ||
-        kind == GpuCommandKind::kHardReset) {
+    if (IsResetCommand(value)) {
       Reset();
     }
     return;
@@ -301,9 +245,7 @@ void LatchState::Write(uint32_t reg, uint32_t value) {
   uint32_t as_reg = 0;
   if (DecodeAsRegister(reg, &as_index, &as_reg) && as_reg == kAsCommand) {
     if (value == kAsCommandUpdate) {
-      uint64_t lo = Get(kAsBase + as_index * kAsStride + kAsTranstabLo);
-      uint64_t hi = Get(kAsBase + as_index * kAsStride + kAsTranstabHi);
-      as_root_[as_index] = (hi << 32) | lo;
+      as_root_[as_index] = transtab(as_index);
     }
     return;
   }
@@ -335,9 +277,7 @@ PowerState SourceExitPower(const std::vector<PlanOp>& ops, const GpuSku& sku) {
       continue;
     }
     if (op.reg == kRegGpuCommand) {
-      GpuCommandKind kind = ClassifyGpuCommand(op.value);
-      if (kind == GpuCommandKind::kSoftReset ||
-          kind == GpuCommandKind::kHardReset) {
+      if (IsResetCommand(op.value)) {
         state.ResetClobber();
       }
       continue;
@@ -363,8 +303,7 @@ struct WarmPowerWalk {
     if (error.has_value()) {
       return;
     }
-    if (reg == kRegGpuCommand &&
-        ClassifyGpuCommand(value) != GpuCommandKind::kNop) {
+    if (reg == kRegGpuCommand && value != kGpuCommandNop) {
       error = "retained GPU_COMMAND with device effects (" +
               std::string(RegisterName(reg)) + ")";
       return;

@@ -3,7 +3,10 @@
 // builder and the checker — the checker re-derives every judgment from
 // the source plan with these primitives rather than trusting anything
 // the builder recorded, so agreement between the two is a proof
-// obligation, not an artifact of shared state.
+// obligation, not an artifact of shared state. Facts about the MMIO map
+// itself (job-slot and AS decoding, the job-start write, reset commands,
+// IRQ lines, the latches a reset keeps) come from src/hw/regs.h; this
+// header only adapts them to plan ops.
 #ifndef GRT_SRC_ANALYSIS_PLANOPT_PLANOPT_INTERNAL_H_
 #define GRT_SRC_ANALYSIS_PLANOPT_PLANOPT_INTERNAL_H_
 
@@ -21,10 +24,12 @@ namespace planopt {
 
 // ------------------------------------------------------------ predicates
 
-// JSn_COMMAND_NEXT = START write (the plan-op analogue of
+// IsJobStartWrite over a plan op (the plan-op analogue of
 // IsReplayJobStart). `slot` receives the slot index when non-null.
-bool IsJobStartWrite(const PlanOp& op, int* slot = nullptr);
-bool IsJobStartWrite(uint32_t reg, uint32_t value, int* slot = nullptr);
+inline bool IsJobStartOp(const PlanOp& op, int* slot = nullptr) {
+  return op.kind == PlanOpKind::kRegWrite &&
+         IsJobStartWrite(op.reg, op.value, slot);
+}
 
 // True for writes to JOB_IRQ_CLEAR.
 inline bool IsJobIrqClearWrite(const PlanOp& op) {
@@ -33,17 +38,6 @@ inline bool IsJobIrqClearWrite(const PlanOp& op) {
 
 // Decodes a JSn_AFFINITY_NEXT_LO/HI write. Returns false otherwise.
 bool IsAffinityNextWrite(uint32_t reg, int* slot, bool* is_hi);
-
-// True for any offset inside a job-slot control block. Job-slot writes
-// are never latch-elided: the soundness walk derives per-slot affinity
-// and job-start legality from the retained schedule alone, so every
-// _NEXT write must stay visible in the warm program.
-bool IsJobSlotRegister(uint32_t reg);
-
-// IRQ-wait line bits as encoded in LogEntry::irq_lines.
-constexpr uint8_t kIrqLineJob = 1u << 0;
-constexpr uint8_t kIrqLineGpu = 1u << 1;
-constexpr uint8_t kIrqLineMmu = 1u << 2;
 
 // --------------------------------------------------------- closure model
 
@@ -90,8 +84,8 @@ bool ClosureIsPureBringUp(const std::vector<PlanOp>& ops, const Closure& c);
 // CPU-owned latch values (RegClass::kCpuConfig) plus the per-AS active
 // translation root. Default value is 0 for every latch: the analysis
 // starts from the scrubbed device (HardReset), whose SoftReset zeroes
-// every latch it owns — and the registers SoftReset leaves alone
-// (PWR_KEY, PWR_OVERRIDE*) are zero out of construction.
+// every latch it owns — and the latches a reset leaves alone
+// (LatchSurvivesReset) are zero out of construction.
 class LatchState {
  public:
   uint32_t Get(uint32_t reg) const {
@@ -99,6 +93,12 @@ class LatchState {
     return it == regs_.end() ? 0 : it->second;
   }
   uint64_t as_root(int as_index) const { return as_root_[as_index]; }
+  // The translation root latched in an AS's TRANSTAB_LO/HI, which an
+  // UPDATE would make active.
+  uint64_t transtab(int as_index) const {
+    return (uint64_t{Get(AsRegister(as_index, kAsTranstabHi))} << 32) |
+           Get(AsRegister(as_index, kAsTranstabLo));
+  }
 
   // Processes a register write: latches kCpuConfig values, applies
   // reset clobbering on GPU_COMMAND resets, latches the active root on
@@ -112,10 +112,6 @@ class LatchState {
   std::map<uint32_t, uint32_t> regs_;
   uint64_t as_root_[kMaxAddressSpaces] = {};
 };
-
-// Decodes a write offset into (AS index, register-in-AS) when it lands
-// in the AS block; returns false otherwise.
-bool DecodeAsRegister(uint32_t reg, int* as_index, uint32_t* as_reg);
 
 // ---------------------------------------------------- abstract power state
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <vector>
 
@@ -67,11 +68,13 @@ Result<Bytes> GpuDma::ReadBytes(uint64_t va, uint64_t len, bool as_code) {
   return out;
 }
 
-Result<GpuDma::RangeInfo> GpuDma::ResolveRange(uint64_t va, uint64_t len,
-                                               bool write, bool as_code) {
+Result<GpuDma::SpanF32> GpuDma::ResolveF32(uint64_t va, size_t n, bool write) {
   // Same ascending page walk as Read()/Write(), so the fault register
-  // carries the first offending VA exactly as before.
-  RangeInfo info;
+  // carries the first offending VA exactly as they would.
+  SpanF32 span;
+  span.va = va;
+  span.n = n;
+  const uint64_t len = static_cast<uint64_t>(n) * sizeof(float);
   uint64_t done = 0;
   while (done < len) {
     uint64_t cur_va = va + done;
@@ -81,36 +84,31 @@ Result<GpuDma::RangeInfo> GpuDma::ResolveRange(uint64_t va, uint64_t len,
     if (!t.ok()) {
       return t.status();
     }
-    bool permitted = write ? t.value().flags.write
-                           : (as_code ? t.value().flags.execute
-                                      : t.value().flags.read);
-    if (!permitted) {
+    if (!(write ? t.value().flags.write : t.value().flags.read)) {
       fault_.status = kFaultPermission;
       fault_.address = cur_va;
       return DeviceFault(write ? "MMU permission fault (write)"
                                : "MMU permission fault (read)");
     }
     if (done == 0) {
-      info.first_pa = t.value().pa;
-    } else if (t.value().pa != info.first_pa + done) {
-      info.contiguous = false;
+      span.first_pa = t.value().pa;
+    } else if (t.value().pa != span.first_pa + done) {
+      span.contiguous = false;
     }
     done += chunk;
   }
-  return info;
+  return span;
 }
 
-Result<const float*> GpuDma::MapReadF32(uint64_t va, size_t n,
+Result<const float*> GpuDma::MapReadF32(const SpanF32& span,
                                         ScratchArena* arena, bool force_copy) {
-  const uint64_t len = static_cast<uint64_t>(n) * sizeof(float);
+  const uint64_t va = span.va;
+  const uint64_t len = static_cast<uint64_t>(span.n) * sizeof(float);
   if (len == 0) {
     return static_cast<const float*>(nullptr);
   }
-  GRT_ASSIGN_OR_RETURN(RangeInfo range,
-                       ResolveRange(va, len, /*write=*/false,
-                                    /*as_code=*/false));
-  if (!force_copy && range.contiguous && (range.first_pa & 3) == 0) {
-    auto view = mem_->ReadView(range.first_pa, len, MemAccessOrigin::kGpu);
+  if (!force_copy && span.contiguous && (span.first_pa & 3) == 0) {
+    auto view = mem_->ReadView(span.first_pa, len, MemAccessOrigin::kGpu);
     if (!view.ok()) {
       return view.status();
     }
@@ -118,8 +116,8 @@ Result<const float*> GpuDma::MapReadF32(uint64_t va, size_t n,
     return reinterpret_cast<const float*>(view.value());
   }
   // Gather fallback: page-crossing discontiguous or unaligned tensors (or
-  // forced copies for aliased operands). The walk above primed the TLB.
-  float* buf = arena->AllocF32(n);
+  // forced copies for aliased operands). ResolveF32 primed the TLB.
+  float* buf = arena->AllocF32(span.n);
   auto* dst = reinterpret_cast<uint8_t*>(buf);
   uint64_t done = 0;
   while (done < len) {
@@ -138,31 +136,28 @@ Result<const float*> GpuDma::MapReadF32(uint64_t va, size_t n,
   return static_cast<const float*>(buf);
 }
 
-Result<GpuDma::WriteSpanF32> GpuDma::MapWriteF32(uint64_t va, size_t n,
+Result<GpuDma::WriteSpanF32> GpuDma::MapWriteF32(const SpanF32& span,
                                                  ScratchArena* arena,
                                                  bool force_copy) {
-  WriteSpanF32 span;
-  span.va = va;
-  span.n = n;
-  const uint64_t len = static_cast<uint64_t>(n) * sizeof(float);
+  WriteSpanF32 out;
+  out.va = span.va;
+  out.n = span.n;
+  const uint64_t len = static_cast<uint64_t>(span.n) * sizeof(float);
   if (len == 0) {
-    return span;
+    return out;
   }
-  GRT_ASSIGN_OR_RETURN(RangeInfo range,
-                       ResolveRange(va, len, /*write=*/true,
-                                    /*as_code=*/false));
-  if (!force_copy && range.contiguous && (range.first_pa & 3) == 0) {
-    auto view = mem_->WriteView(range.first_pa, len, MemAccessOrigin::kGpu);
+  if (!force_copy && span.contiguous && (span.first_pa & 3) == 0) {
+    auto view = mem_->WriteView(span.first_pa, len, MemAccessOrigin::kGpu);
     if (!view.ok()) {
       return view.status();
     }
-    span.data = reinterpret_cast<float*>(view.value());
-    span.pa = range.first_pa;
-    span.direct = true;
-    return span;
+    out.data = reinterpret_cast<float*>(view.value());
+    out.pa = span.first_pa;
+    out.direct = true;
+    return out;
   }
-  span.data = arena->AllocF32(n);
-  return span;
+  out.data = arena->AllocF32(span.n);
+  return out;
 }
 
 Status GpuDma::CommitWriteF32(const WriteSpanF32& span) {
@@ -213,14 +208,60 @@ Status GpuDma::ReadShaderHeader(uint64_t va, uint64_t blob_len, uint8_t* out,
 
 namespace {
 
-// Reads a float tensor from GPU memory (reference-engine data path).
-Status ReadF32(GpuDma* dma, uint64_t va, std::vector<float>* out, size_t n) {
-  out->resize(n);
-  return dma->Read(va, out->data(), n * sizeof(float));
+// Reads a resolved float tensor from GPU memory (reference-engine data
+// path).
+Status ReadF32(GpuDma* dma, const GpuDma::SpanF32& span,
+               std::vector<float>* out) {
+  out->resize(span.n);
+  return dma->Read(span.va, out->data(), span.n * sizeof(float));
 }
 
 Status WriteF32(GpuDma* dma, uint64_t va, const std::vector<float>& v) {
   return dma->Write(va, v.data(), v.size() * sizeof(float));
+}
+
+// The float count of a tensor with dimensions `dims`, saturated just past
+// the GPU VA space. A larger tensor cannot be mapped (resolving it faults
+// at its first unmapped page), and the plain size_t product of three or
+// more uint32 dimensions can wrap to a small count that the kernel, which
+// walks the true shape, would overrun.
+size_t TensorFloats(std::initializer_list<uint32_t> dims) {
+  constexpr uint64_t kCap = (uint64_t{1} << kGpuVaBits) / sizeof(float) + 1;
+  uint64_t n = 1;
+  for (uint32_t d : dims) {
+    if (d == 0) {
+      return 0;
+    }
+    n = n > kCap / d ? kCap : n * d;
+  }
+  return static_cast<size_t>(n);
+}
+
+struct Operand {
+  uint64_t va;
+  size_t n;
+};
+
+// A job's tensor operands, resolved in the order both engines fault in:
+// inputs, then the output. Both engines resolve before sizing any buffer
+// from the descriptor, so a shape whose operands cannot be mapped faults
+// at the first unmapped VA instead of throwing from an allocation.
+struct JobOperands {
+  GpuDma::SpanF32 in[2];
+  GpuDma::SpanF32 out;
+};
+
+Result<JobOperands> ResolveOperands(GpuDma* dma,
+                                    std::initializer_list<Operand> inputs,
+                                    Operand output) {
+  JobOperands ops;
+  size_t i = 0;
+  for (const Operand& in : inputs) {
+    GRT_ASSIGN_OR_RETURN(ops.in[i++], dma->ResolveF32(in.va, in.n));
+  }
+  GRT_ASSIGN_OR_RETURN(ops.out,
+                       dma->ResolveF32(output.va, output.n, /*write=*/true));
+  return ops;
 }
 
 // True when a window of `window` taps has at least one position inside
@@ -327,11 +368,16 @@ Status ShaderCoreExecutor::ExecuteJobReference(const JobDescriptor& d,
       if (m == 0 || k == 0 || n == 0) {
         return DeviceFault("GEMM with zero dimension");
       }
-      std::vector<float> a, b, c(static_cast<size_t>(m) * n);
-      GRT_RETURN_IF_ERROR(ReadF32(dma, d.input_va[0], &a,
-                                  static_cast<size_t>(m) * k));
-      GRT_RETURN_IF_ERROR(
-          ReadF32(dma, d.aux_va, &b, static_cast<size_t>(k) * n));
+      const size_t an = static_cast<size_t>(m) * k;
+      const size_t bn = static_cast<size_t>(k) * n;
+      const size_t cn = static_cast<size_t>(m) * n;
+      GRT_ASSIGN_OR_RETURN(
+          JobOperands ops,
+          ResolveOperands(dma, {{d.input_va[0], an}, {d.aux_va, bn}},
+                          {d.output_va, cn}));
+      std::vector<float> a, b, c(cn);
+      GRT_RETURN_IF_ERROR(ReadF32(dma, ops.in[0], &a));
+      GRT_RETURN_IF_ERROR(ReadF32(dma, ops.in[1], &b));
       kern::GemmRef(a.data(), b.data(), c.data(), m, k, n,
                     (d.flags & kJobFlagReluFused) != 0);
       *macs += static_cast<uint64_t>(m) * k * n;
@@ -350,10 +396,14 @@ Status ShaderCoreExecutor::ExecuteJobReference(const JobDescriptor& d,
       }
       uint32_t oh = (h + 2 * pad - kh) / stride + 1;
       uint32_t ow = (w + 2 * pad - kw) / stride + 1;
+      const size_t in_n = TensorFloats({cin, h, w});
+      const size_t out_n = TensorFloats({cin, kh, kw, oh, ow});
+      GRT_ASSIGN_OR_RETURN(
+          JobOperands ops,
+          ResolveOperands(dma, {{d.input_va[0], in_n}}, {d.output_va, out_n}));
       std::vector<float> in;
-      GRT_RETURN_IF_ERROR(ReadF32(dma, d.input_va[0], &in,
-                                  static_cast<size_t>(cin) * h * w));
-      std::vector<float> out(static_cast<size_t>(cin) * kh * kw * oh * ow);
+      GRT_RETURN_IF_ERROR(ReadF32(dma, ops.in[0], &in));
+      std::vector<float> out(out_n);
       kern::Im2ColRef(in.data(), out.data(), cin, h, w, kh, kw, stride, pad);
       *macs += out.size();  // data movement cost proxy
       return WriteF32(dma, d.output_va, out);
@@ -371,12 +421,17 @@ Status ShaderCoreExecutor::ExecuteJobReference(const JobDescriptor& d,
       }
       uint32_t oh = (h + 2 * pad - kh) / stride + 1;
       uint32_t ow = (w + 2 * pad - kw) / stride + 1;
+      const size_t in_n = TensorFloats({cin, h, w});
+      const size_t wt_n = TensorFloats({cout, cin, kh, kw});
+      const size_t out_n = TensorFloats({cout, oh, ow});
+      GRT_ASSIGN_OR_RETURN(
+          JobOperands ops,
+          ResolveOperands(dma, {{d.input_va[0], in_n}, {d.aux_va, wt_n}},
+                          {d.output_va, out_n}));
       std::vector<float> in, wts;
-      GRT_RETURN_IF_ERROR(ReadF32(dma, d.input_va[0], &in,
-                                  static_cast<size_t>(cin) * h * w));
-      GRT_RETURN_IF_ERROR(ReadF32(dma, d.aux_va, &wts,
-                                  static_cast<size_t>(cout) * cin * kh * kw));
-      std::vector<float> out(static_cast<size_t>(cout) * oh * ow);
+      GRT_RETURN_IF_ERROR(ReadF32(dma, ops.in[0], &in));
+      GRT_RETURN_IF_ERROR(ReadF32(dma, ops.in[1], &wts));
+      std::vector<float> out(out_n);
       kern::Conv2dRef(in.data(), wts.data(), out.data(), cin, h, w, cout, kh,
                       kw, stride, pad, (d.flags & kJobFlagReluFused) != 0);
       *macs += static_cast<uint64_t>(cout) * oh * ow * cin * kh * kw;
@@ -388,10 +443,14 @@ Status ShaderCoreExecutor::ExecuteJobReference(const JobDescriptor& d,
       if (bias_len > 0 && count > 0 && count / bias_len == 0) {
         return DeviceFault("bias_relu bad shape");
       }
+      GRT_ASSIGN_OR_RETURN(
+          JobOperands ops,
+          ResolveOperands(dma, {{d.input_va[0], count}, {d.aux_va, bias_len}},
+                          {d.output_va, count}));
       std::vector<float> x, b;
-      GRT_RETURN_IF_ERROR(ReadF32(dma, d.input_va[0], &x, count));
+      GRT_RETURN_IF_ERROR(ReadF32(dma, ops.in[0], &x));
       if (bias_len > 0) {
-        GRT_RETURN_IF_ERROR(ReadF32(dma, d.aux_va, &b, bias_len));
+        GRT_RETURN_IF_ERROR(ReadF32(dma, ops.in[1], &b));
       }
       kern::BiasReluRef(x.data(), bias_len > 0 ? b.data() : nullptr, x.data(),
                         count, bias_len, (d.flags & kJobFlagReluFused) != 0);
@@ -411,10 +470,14 @@ Status ShaderCoreExecutor::ExecuteJobReference(const JobDescriptor& d,
       }
       uint32_t oh = (h - win) / stride + 1;
       uint32_t ow = (w - win) / stride + 1;
+      const size_t in_n = TensorFloats({c, h, w});
+      const size_t out_n = TensorFloats({c, oh, ow});
+      GRT_ASSIGN_OR_RETURN(
+          JobOperands ops,
+          ResolveOperands(dma, {{d.input_va[0], in_n}}, {d.output_va, out_n}));
       std::vector<float> in;
-      GRT_RETURN_IF_ERROR(
-          ReadF32(dma, d.input_va[0], &in, static_cast<size_t>(c) * h * w));
-      std::vector<float> out(static_cast<size_t>(c) * oh * ow);
+      GRT_RETURN_IF_ERROR(ReadF32(dma, ops.in[0], &in));
+      std::vector<float> out(out_n);
       kern::PoolRef(in.data(), out.data(), c, h, w, win, stride,
                     d.op == GpuOp::kPoolMax);
       *macs += static_cast<uint64_t>(c) * oh * ow * win * win;
@@ -423,9 +486,13 @@ Status ShaderCoreExecutor::ExecuteJobReference(const JobDescriptor& d,
 
     case GpuOp::kEltwiseAdd: {
       uint32_t count = d.params[0];
+      GRT_ASSIGN_OR_RETURN(
+          JobOperands ops,
+          ResolveOperands(dma, {{d.input_va[0], count}, {d.input_va[1], count}},
+                          {d.output_va, count}));
       std::vector<float> a, b;
-      GRT_RETURN_IF_ERROR(ReadF32(dma, d.input_va[0], &a, count));
-      GRT_RETURN_IF_ERROR(ReadF32(dma, d.input_va[1], &b, count));
+      GRT_RETURN_IF_ERROR(ReadF32(dma, ops.in[0], &a));
+      GRT_RETURN_IF_ERROR(ReadF32(dma, ops.in[1], &b));
       kern::EltwiseAddRef(a.data(), b.data(), a.data(), count,
                           (d.flags & kJobFlagReluFused) != 0);
       *macs += count;
@@ -434,8 +501,11 @@ Status ShaderCoreExecutor::ExecuteJobReference(const JobDescriptor& d,
 
     case GpuOp::kSoftmax: {
       uint32_t count = d.params[0];
+      GRT_ASSIGN_OR_RETURN(
+          JobOperands ops,
+          ResolveOperands(dma, {{d.input_va[0], count}}, {d.output_va, count}));
       std::vector<float> x;
-      GRT_RETURN_IF_ERROR(ReadF32(dma, d.input_va[0], &x, count));
+      GRT_RETURN_IF_ERROR(ReadF32(dma, ops.in[0], &x));
       kern::SoftmaxRef(x.data(), x.data(), count);
       *macs += 4ull * count;
       return WriteF32(dma, d.output_va, x);
@@ -443,8 +513,11 @@ Status ShaderCoreExecutor::ExecuteJobReference(const JobDescriptor& d,
 
     case GpuOp::kCopy: {
       uint32_t count = d.params[0];
+      GRT_ASSIGN_OR_RETURN(
+          JobOperands ops,
+          ResolveOperands(dma, {{d.input_va[0], count}}, {d.output_va, count}));
       std::vector<float> x;
-      GRT_RETURN_IF_ERROR(ReadF32(dma, d.input_va[0], &x, count));
+      GRT_RETURN_IF_ERROR(ReadF32(dma, ops.in[0], &x));
       *macs += count;
       return WriteF32(dma, d.output_va, x);
     }
@@ -454,6 +527,8 @@ Status ShaderCoreExecutor::ExecuteJobReference(const JobDescriptor& d,
       float value;
       uint32_t bits = d.params[1];
       std::memcpy(&value, &bits, sizeof(value));
+      GRT_RETURN_IF_ERROR(
+          ResolveOperands(dma, {}, {d.output_va, count}).status());
       std::vector<float> x(count, value);
       *macs += count;
       return WriteF32(dma, d.output_va, x);
@@ -482,15 +557,17 @@ Status ShaderCoreExecutor::ExecuteJobOptimized(const JobDescriptor& d,
       const size_t an = static_cast<size_t>(m) * k;
       const size_t bn = static_cast<size_t>(k) * n;
       const size_t cn = static_cast<size_t>(m) * n;
+      GRT_ASSIGN_OR_RETURN(
+          JobOperands ops,
+          ResolveOperands(dma, {{d.input_va[0], an}, {d.aux_va, bn}},
+                          {d.output_va, cn}));
       arena_.BeginJob(an + bn + cn + 64);
       const bool clash = RangesOverlap(d.output_va, cn, d.input_va[0], an) ||
                          RangesOverlap(d.output_va, cn, d.aux_va, bn);
-      GRT_ASSIGN_OR_RETURN(const float* a,
-                           dma->MapReadF32(d.input_va[0], an, &arena_));
-      GRT_ASSIGN_OR_RETURN(const float* b,
-                           dma->MapReadF32(d.aux_va, bn, &arena_));
+      GRT_ASSIGN_OR_RETURN(const float* a, dma->MapReadF32(ops.in[0], &arena_));
+      GRT_ASSIGN_OR_RETURN(const float* b, dma->MapReadF32(ops.in[1], &arena_));
       GRT_ASSIGN_OR_RETURN(GpuDma::WriteSpanF32 c,
-                           dma->MapWriteF32(d.output_va, cn, &arena_, clash));
+                           dma->MapWriteF32(ops.out, &arena_, clash));
       kern::GemmOpt(a, b, c.data, m, k, n,
                     (d.flags & kJobFlagReluFused) != 0);
       *macs += static_cast<uint64_t>(m) * k * n;
@@ -509,15 +586,17 @@ Status ShaderCoreExecutor::ExecuteJobOptimized(const JobDescriptor& d,
       }
       uint32_t oh = (h + 2 * pad - kh) / stride + 1;
       uint32_t ow = (w + 2 * pad - kw) / stride + 1;
-      const size_t in_n = static_cast<size_t>(cin) * h * w;
-      const size_t out_n = static_cast<size_t>(cin) * kh * kw * oh * ow;
+      const size_t in_n = TensorFloats({cin, h, w});
+      const size_t out_n = TensorFloats({cin, kh, kw, oh, ow});
+      GRT_ASSIGN_OR_RETURN(
+          JobOperands ops,
+          ResolveOperands(dma, {{d.input_va[0], in_n}}, {d.output_va, out_n}));
       arena_.BeginJob(in_n + out_n + 48);
       const bool clash = RangesOverlap(d.output_va, out_n, d.input_va[0], in_n);
       GRT_ASSIGN_OR_RETURN(const float* in,
-                           dma->MapReadF32(d.input_va[0], in_n, &arena_));
-      GRT_ASSIGN_OR_RETURN(
-          GpuDma::WriteSpanF32 out,
-          dma->MapWriteF32(d.output_va, out_n, &arena_, clash));
+                           dma->MapReadF32(ops.in[0], &arena_));
+      GRT_ASSIGN_OR_RETURN(GpuDma::WriteSpanF32 out,
+                           dma->MapWriteF32(ops.out, &arena_, clash));
       kern::Im2ColOpt(in, out.data, cin, h, w, kh, kw, stride, pad);
       *macs += out_n;  // data movement cost proxy
       return dma->CommitWriteF32(out);
@@ -535,21 +614,24 @@ Status ShaderCoreExecutor::ExecuteJobOptimized(const JobDescriptor& d,
       }
       uint32_t oh = (h + 2 * pad - kh) / stride + 1;
       uint32_t ow = (w + 2 * pad - kw) / stride + 1;
-      const size_t in_n = static_cast<size_t>(cin) * h * w;
-      const size_t wt_n = static_cast<size_t>(cout) * cin * kh * kw;
-      const size_t out_n = static_cast<size_t>(cout) * oh * ow;
+      const size_t in_n = TensorFloats({cin, h, w});
+      const size_t wt_n = TensorFloats({cout, cin, kh, kw});
+      const size_t out_n = TensorFloats({cout, oh, ow});
       const size_t pack_n = kern::Conv2dPackFloats(cin, cout, kh, kw);
+      GRT_ASSIGN_OR_RETURN(
+          JobOperands ops,
+          ResolveOperands(dma, {{d.input_va[0], in_n}, {d.aux_va, wt_n}},
+                          {d.output_va, out_n}));
       arena_.BeginJob(in_n + wt_n + out_n + pack_n + 64);
       const bool clash =
           RangesOverlap(d.output_va, out_n, d.input_va[0], in_n) ||
           RangesOverlap(d.output_va, out_n, d.aux_va, wt_n);
       GRT_ASSIGN_OR_RETURN(const float* in,
-                           dma->MapReadF32(d.input_va[0], in_n, &arena_));
+                           dma->MapReadF32(ops.in[0], &arena_));
       GRT_ASSIGN_OR_RETURN(const float* wts,
-                           dma->MapReadF32(d.aux_va, wt_n, &arena_));
-      GRT_ASSIGN_OR_RETURN(
-          GpuDma::WriteSpanF32 out,
-          dma->MapWriteF32(d.output_va, out_n, &arena_, clash));
+                           dma->MapReadF32(ops.in[1], &arena_));
+      GRT_ASSIGN_OR_RETURN(GpuDma::WriteSpanF32 out,
+                           dma->MapWriteF32(ops.out, &arena_, clash));
       kern::Conv2dOpt(in, wts, arena_.AllocF32(pack_n), out.data, cin, h, w,
                       cout, kh, kw, stride, pad,
                       (d.flags & kJobFlagReluFused) != 0);
@@ -562,6 +644,10 @@ Status ShaderCoreExecutor::ExecuteJobOptimized(const JobDescriptor& d,
       if (bias_len > 0 && count > 0 && count / bias_len == 0) {
         return DeviceFault("bias_relu bad shape");
       }
+      GRT_ASSIGN_OR_RETURN(
+          JobOperands ops,
+          ResolveOperands(dma, {{d.input_va[0], count}, {d.aux_va, bias_len}},
+                          {d.output_va, count}));
       arena_.BeginJob(static_cast<size_t>(count) * 2 + bias_len + 64);
       // Identical-range aliasing is elementwise-safe here: when the bias
       // range equals the output range, count == bias_len so spatial == 1
@@ -569,16 +655,12 @@ Status ShaderCoreExecutor::ExecuteJobOptimized(const JobDescriptor& d,
       const bool clash =
           PartialOverlap(d.output_va, count, d.input_va[0], count) ||
           PartialOverlap(d.output_va, count, d.aux_va, bias_len);
-      GRT_ASSIGN_OR_RETURN(const float* x,
-                           dma->MapReadF32(d.input_va[0], count, &arena_));
-      const float* bias = nullptr;
-      if (bias_len > 0) {
-        GRT_ASSIGN_OR_RETURN(bias, dma->MapReadF32(d.aux_va, bias_len,
-                                                   &arena_));
-      }
-      GRT_ASSIGN_OR_RETURN(
-          GpuDma::WriteSpanF32 out,
-          dma->MapWriteF32(d.output_va, count, &arena_, clash));
+      GRT_ASSIGN_OR_RETURN(const float* x, dma->MapReadF32(ops.in[0], &arena_));
+      // A zero-length bias maps to nullptr (no bias).
+      GRT_ASSIGN_OR_RETURN(const float* bias,
+                           dma->MapReadF32(ops.in[1], &arena_));
+      GRT_ASSIGN_OR_RETURN(GpuDma::WriteSpanF32 out,
+                           dma->MapWriteF32(ops.out, &arena_, clash));
       kern::BiasReluOpt(x, bias, out.data, count, bias_len,
                         (d.flags & kJobFlagReluFused) != 0);
       *macs += count;
@@ -597,15 +679,17 @@ Status ShaderCoreExecutor::ExecuteJobOptimized(const JobDescriptor& d,
       }
       uint32_t oh = (h - win) / stride + 1;
       uint32_t ow = (w - win) / stride + 1;
-      const size_t in_n = static_cast<size_t>(c) * h * w;
-      const size_t out_n = static_cast<size_t>(c) * oh * ow;
+      const size_t in_n = TensorFloats({c, h, w});
+      const size_t out_n = TensorFloats({c, oh, ow});
+      GRT_ASSIGN_OR_RETURN(
+          JobOperands ops,
+          ResolveOperands(dma, {{d.input_va[0], in_n}}, {d.output_va, out_n}));
       arena_.BeginJob(in_n + out_n + 48);
       const bool clash = RangesOverlap(d.output_va, out_n, d.input_va[0], in_n);
       GRT_ASSIGN_OR_RETURN(const float* in,
-                           dma->MapReadF32(d.input_va[0], in_n, &arena_));
-      GRT_ASSIGN_OR_RETURN(
-          GpuDma::WriteSpanF32 out,
-          dma->MapWriteF32(d.output_va, out_n, &arena_, clash));
+                           dma->MapReadF32(ops.in[0], &arena_));
+      GRT_ASSIGN_OR_RETURN(GpuDma::WriteSpanF32 out,
+                           dma->MapWriteF32(ops.out, &arena_, clash));
       kern::PoolOpt(in, out.data, c, h, w, win, stride,
                     d.op == GpuOp::kPoolMax);
       *macs += static_cast<uint64_t>(c) * oh * ow * win * win;
@@ -614,17 +698,18 @@ Status ShaderCoreExecutor::ExecuteJobOptimized(const JobDescriptor& d,
 
     case GpuOp::kEltwiseAdd: {
       uint32_t count = d.params[0];
+      GRT_ASSIGN_OR_RETURN(
+          JobOperands ops,
+          ResolveOperands(dma, {{d.input_va[0], count}, {d.input_va[1], count}},
+                          {d.output_va, count}));
       arena_.BeginJob(static_cast<size_t>(count) * 3 + 64);
       const bool clash =
           PartialOverlap(d.output_va, count, d.input_va[0], count) ||
           PartialOverlap(d.output_va, count, d.input_va[1], count);
-      GRT_ASSIGN_OR_RETURN(const float* a,
-                           dma->MapReadF32(d.input_va[0], count, &arena_));
-      GRT_ASSIGN_OR_RETURN(const float* b,
-                           dma->MapReadF32(d.input_va[1], count, &arena_));
-      GRT_ASSIGN_OR_RETURN(
-          GpuDma::WriteSpanF32 out,
-          dma->MapWriteF32(d.output_va, count, &arena_, clash));
+      GRT_ASSIGN_OR_RETURN(const float* a, dma->MapReadF32(ops.in[0], &arena_));
+      GRT_ASSIGN_OR_RETURN(const float* b, dma->MapReadF32(ops.in[1], &arena_));
+      GRT_ASSIGN_OR_RETURN(GpuDma::WriteSpanF32 out,
+                           dma->MapWriteF32(ops.out, &arena_, clash));
       kern::EltwiseAddOpt(a, b, out.data, count,
                           (d.flags & kJobFlagReluFused) != 0);
       *macs += count;
@@ -633,14 +718,15 @@ Status ShaderCoreExecutor::ExecuteJobOptimized(const JobDescriptor& d,
 
     case GpuOp::kSoftmax: {
       uint32_t count = d.params[0];
+      GRT_ASSIGN_OR_RETURN(
+          JobOperands ops,
+          ResolveOperands(dma, {{d.input_va[0], count}}, {d.output_va, count}));
       arena_.BeginJob(static_cast<size_t>(count) * 2 + 48);
       const bool clash =
           PartialOverlap(d.output_va, count, d.input_va[0], count);
-      GRT_ASSIGN_OR_RETURN(const float* x,
-                           dma->MapReadF32(d.input_va[0], count, &arena_));
-      GRT_ASSIGN_OR_RETURN(
-          GpuDma::WriteSpanF32 out,
-          dma->MapWriteF32(d.output_va, count, &arena_, clash));
+      GRT_ASSIGN_OR_RETURN(const float* x, dma->MapReadF32(ops.in[0], &arena_));
+      GRT_ASSIGN_OR_RETURN(GpuDma::WriteSpanF32 out,
+                           dma->MapWriteF32(ops.out, &arena_, clash));
       kern::SoftmaxOpt(x, out.data, count);
       *macs += 4ull * count;
       return dma->CommitWriteF32(out);
@@ -648,14 +734,15 @@ Status ShaderCoreExecutor::ExecuteJobOptimized(const JobDescriptor& d,
 
     case GpuOp::kCopy: {
       uint32_t count = d.params[0];
+      GRT_ASSIGN_OR_RETURN(
+          JobOperands ops,
+          ResolveOperands(dma, {{d.input_va[0], count}}, {d.output_va, count}));
       arena_.BeginJob(static_cast<size_t>(count) * 2 + 48);
       const bool clash =
           PartialOverlap(d.output_va, count, d.input_va[0], count);
-      GRT_ASSIGN_OR_RETURN(const float* x,
-                           dma->MapReadF32(d.input_va[0], count, &arena_));
-      GRT_ASSIGN_OR_RETURN(
-          GpuDma::WriteSpanF32 out,
-          dma->MapWriteF32(d.output_va, count, &arena_, clash));
+      GRT_ASSIGN_OR_RETURN(const float* x, dma->MapReadF32(ops.in[0], &arena_));
+      GRT_ASSIGN_OR_RETURN(GpuDma::WriteSpanF32 out,
+                           dma->MapWriteF32(ops.out, &arena_, clash));
       kern::CopyOpt(x, out.data, count);
       *macs += count;
       return dma->CommitWriteF32(out);
@@ -666,9 +753,11 @@ Status ShaderCoreExecutor::ExecuteJobOptimized(const JobDescriptor& d,
       float value;
       uint32_t bits = d.params[1];
       std::memcpy(&value, &bits, sizeof(value));
+      GRT_ASSIGN_OR_RETURN(JobOperands ops,
+                           ResolveOperands(dma, {}, {d.output_va, count}));
       arena_.BeginJob(static_cast<size_t>(count) + 32);
       GRT_ASSIGN_OR_RETURN(GpuDma::WriteSpanF32 out,
-                           dma->MapWriteF32(d.output_va, count, &arena_));
+                           dma->MapWriteF32(ops.out, &arena_));
       kern::FillOpt(out.data, count, value);
       *macs += count;
       return dma->CommitWriteF32(out);

@@ -52,13 +52,25 @@ class GpuDma {
 
   // ---- zero-copy tensor access (optimized kernel engine) ----
   //
-  // MapReadF32 returns a pointer to n floats at va: a direct view into
-  // physical memory when every page translates with read permission, the
-  // span is physically contiguous, and the base is 4-byte aligned;
-  // otherwise (or when force_copy) a gather into arena scratch. Fault
-  // semantics match Read(): pages are walked ascending, so the fault
-  // register carries the first offending VA.
-  Result<const float*> MapReadF32(uint64_t va, size_t n, ScratchArena* arena,
+  // A tensor operand of n floats at va whose every page translated with
+  // read (or, for `write`, write) permission. Both kernel engines resolve
+  // every operand of a job, inputs then output, before sizing any buffer
+  // from a descriptor's shape, so a shape that cannot be mapped faults
+  // instead of allocating. Fault semantics match Read()/Write(): pages
+  // are walked ascending, so the fault register carries the first
+  // offending VA.
+  struct SpanF32 {
+    uint64_t va = 0;
+    size_t n = 0;
+    uint64_t first_pa = 0;
+    bool contiguous = true;  // one physically-contiguous run
+  };
+  Result<SpanF32> ResolveF32(uint64_t va, size_t n, bool write = false);
+
+  // A pointer to a read-resolved span's floats: a direct view into
+  // physical memory when the span is physically contiguous and 4-byte
+  // aligned; otherwise (or when force_copy) a gather into arena scratch.
+  Result<const float*> MapReadF32(const SpanF32& span, ScratchArena* arena,
                                   bool force_copy = false);
 
   // A mapped output tensor. `data` is where the kernel writes; direct
@@ -72,12 +84,11 @@ class GpuDma {
     bool direct = false;
   };
 
-  // Write-permission pages are validated here (ascending, same fault the
-  // old write-after-compute path raised), so CommitWriteF32 cannot fault.
-  // force_copy buffers the output in the arena — used when the output VA
-  // range overlaps an input's, to keep the reference engine's
-  // read-everything-then-write semantics.
-  Result<WriteSpanF32> MapWriteF32(uint64_t va, size_t n, ScratchArena* arena,
+  // Maps a write-resolved span. Its pages were validated by ResolveF32,
+  // so CommitWriteF32 cannot fault. force_copy buffers the output in the
+  // arena — used when the output VA range overlaps an input's, to keep
+  // the reference engine's read-everything-then-write semantics.
+  Result<WriteSpanF32> MapWriteF32(const SpanF32& span, ScratchArena* arena,
                                    bool force_copy = false);
 
   // Completes a mapped write: fires write observers over the span (direct)
@@ -96,16 +107,6 @@ class GpuDma {
   uint64_t bytes_moved() const { return bytes_moved_; }
 
  private:
-  // Walks [va, va+len) translating every page with the required
-  // permission; reports the span's first physical address and whether it
-  // is one physically-contiguous run.
-  struct RangeInfo {
-    uint64_t first_pa = 0;
-    bool contiguous = true;
-  };
-  Result<RangeInfo> ResolveRange(uint64_t va, uint64_t len, bool write,
-                                 bool as_code);
-
   const MmuWalker* walker_;
   PhysicalMemory* mem_;
   GpuTlb* tlb_;

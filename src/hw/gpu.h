@@ -55,6 +55,10 @@ class MaliGpu {
   bool AnyIrqAsserted() {
     return JobIrqAsserted() || GpuIrqAsserted() || MmuIrqAsserted();
   }
+  // The asserted lines as kIrqLine* bits (regs.h).
+  uint8_t AssertedIrqLines() {
+    return PackIrqLines(JobIrqAsserted(), GpuIrqAsserted(), MmuIrqAsserted());
+  }
 
   // Earliest pending completion, or kNoEvent. The simulation advances the
   // client timeline here when the driver sleeps waiting for an IRQ.

@@ -87,10 +87,9 @@ const char* RegisterName(uint32_t offset) {
     default:
       break;
   }
-  if (offset >= kJobSlotBase &&
-      offset < kJobSlotBase + kMaxJobSlots * kJobSlotStride) {
-    int slot = (offset - kJobSlotBase) / kJobSlotStride;
-    uint32_t rel = (offset - kJobSlotBase) % kJobSlotStride;
+  int index = 0;
+  uint32_t rel = 0;
+  if (DecodeJobSlotRegister(offset, &index, &rel)) {
     const char* sub = "?";
     switch (rel) {
       case kJsHeadLo: sub = "HEAD_LO"; break;
@@ -110,12 +109,10 @@ const char* RegisterName(uint32_t offset) {
       case kJsCommandNext: sub = "COMMAND_NEXT"; break;
       default: break;
     }
-    std::snprintf(g_name_buf, sizeof(g_name_buf), "JS%d_%s", slot, sub);
+    std::snprintf(g_name_buf, sizeof(g_name_buf), "JS%d_%s", index, sub);
     return g_name_buf;
   }
-  if (offset >= kAsBase && offset < kAsBase + kMaxAddressSpaces * kAsStride) {
-    int as = (offset - kAsBase) / kAsStride;
-    uint32_t rel = (offset - kAsBase) % kAsStride;
+  if (DecodeAsRegister(offset, &index, &rel)) {
     const char* sub = "?";
     switch (rel) {
       case kAsTranstabLo: sub = "TRANSTAB_LO"; break;
@@ -131,7 +128,7 @@ const char* RegisterName(uint32_t offset) {
       case kAsStatus: sub = "STATUS"; break;
       default: break;
     }
-    std::snprintf(g_name_buf, sizeof(g_name_buf), "AS%d_%s", as, sub);
+    std::snprintf(g_name_buf, sizeof(g_name_buf), "AS%d_%s", index, sub);
     return g_name_buf;
   }
   if (offset >= kRegJsFeatures0 && offset < kRegJsFeatures0 + 16 * 4) {
@@ -158,26 +155,8 @@ bool IsNondeterministicRegister(uint32_t offset) {
 
 namespace {
 
-bool InJobSlotBlock(uint32_t offset) {
-  return offset >= kJobSlotBase &&
-         offset < kJobSlotBase + kMaxJobSlots * kJobSlotStride;
-}
-
-bool InAsBlock(uint32_t offset) {
-  return offset >= kAsBase &&
-         offset < kAsBase + kMaxAddressSpaces * kAsStride;
-}
-
 bool IsGpuIrqSurface(uint32_t offset) {
   return offset == kRegGpuIrqRawstat || offset == kRegGpuIrqStatus;
-}
-
-bool IsResetCommand(uint32_t value) {
-  return value == kGpuCommandSoftReset || value == kGpuCommandHardReset;
-}
-
-bool IsFlushCommand(uint32_t value) {
-  return value == kGpuCommandCleanCaches || value == kGpuCommandCleanInvCaches;
 }
 
 }  // namespace
@@ -256,8 +235,10 @@ RegClass ClassifyRegister(uint32_t offset) {
   if (IsPowerControlRegister(offset)) {
     return RegClass::kTrigger;
   }
-  if (InJobSlotBlock(offset)) {
-    switch ((offset - kJobSlotBase) % kJobSlotStride) {
+  int index = 0;
+  uint32_t rel = 0;
+  if (DecodeJobSlotRegister(offset, &index, &rel)) {
+    switch (rel) {
       case kJsHeadNextLo:
       case kJsHeadNextHi:
       case kJsAffinityNextLo:
@@ -281,8 +262,8 @@ RegClass ClassifyRegister(uint32_t offset) {
         return RegClass::kUnknown;
     }
   }
-  if (InAsBlock(offset)) {
-    switch ((offset - kAsBase) % kAsStride) {
+  if (DecodeAsRegister(offset, &index, &rel)) {
+    switch (rel) {
       case kAsTranstabLo:
       case kAsTranstabHi:
       case kAsMemattrLo:
@@ -426,8 +407,9 @@ bool MayClobberRegister(uint32_t stimulus_reg, uint32_t stimulus_value,
         observed_reg == kRegJobIrqStatus) {
       return true;
     }
-    return InJobSlotBlock(observed_reg) &&
-           (observed_reg - kJobSlotBase) % kJobSlotStride == kJsStatus;
+    int slot = 0;
+    uint32_t rel = 0;
+    return DecodeJobSlotRegister(observed_reg, &slot, &rel) && rel == kJsStatus;
   }
   if (stimulus_reg == kRegMmuIrqClear) {
     return observed_reg == kRegMmuIrqRawstat ||
@@ -442,18 +424,17 @@ bool MayClobberRegister(uint32_t stimulus_reg, uint32_t stimulus_value,
     return IsGpuIrqSurface(observed_reg) || observed_reg == ready ||
            observed_reg == pwrtrans;
   }
-  if (InJobSlotBlock(stimulus_reg)) {
+  int stim_index = 0;
+  int obs_index = 0;
+  uint32_t rel = 0;
+  if (DecodeJobSlotRegister(stimulus_reg, &stim_index, &rel)) {
     // JSn_COMMAND[_NEXT]: a job start rewrites the slot's active block and
     // may complete (or fault) asynchronously — job IRQ surface, GPU fault
     // surface (+ fault IRQ bit), and the MMU/AS fault surface (a bad chain
     // can raise translation faults). Other slots and the power-state
     // surface are untouched.
-    const uint32_t slot_base =
-        stimulus_reg - (stimulus_reg - kJobSlotBase) % kJobSlotStride;
-    if (InJobSlotBlock(observed_reg)) {
-      const uint32_t obs_base =
-          observed_reg - (observed_reg - kJobSlotBase) % kJobSlotStride;
-      return obs_base == slot_base;
+    if (DecodeJobSlotRegister(observed_reg, &obs_index, &rel)) {
+      return obs_index == stim_index;
     }
     switch (observed_reg) {
       case kRegJobIrqRawstat:
@@ -468,18 +449,14 @@ bool MayClobberRegister(uint32_t stimulus_reg, uint32_t stimulus_value,
       case kRegMmuIrqStatus:
         return true;
       default:
-        return InAsBlock(observed_reg);
+        return IsAsRegister(observed_reg);
     }
   }
-  if (InAsBlock(stimulus_reg)) {
+  if (DecodeAsRegister(stimulus_reg, &stim_index, &rel)) {
     // AS_COMMAND: completes by clearing the AS active bit; faults surface
     // on the MMU IRQ block and the AS fault registers.
-    const uint32_t as_base =
-        stimulus_reg - (stimulus_reg - kAsBase) % kAsStride;
-    if (InAsBlock(observed_reg)) {
-      const uint32_t obs_base =
-          observed_reg - (observed_reg - kAsBase) % kAsStride;
-      return obs_base == as_base;
+    if (DecodeAsRegister(observed_reg, &obs_index, &rel)) {
+      return obs_index == stim_index;
     }
     return observed_reg == kRegMmuIrqRawstat ||
            observed_reg == kRegMmuIrqStatus;
@@ -525,28 +502,15 @@ uint32_t GpuIrqBitsRaisedBy(uint32_t reg, uint32_t value) {
     // words are included conservatively.
     return kGpuIrqPowerChangedSingle | kGpuIrqPowerChangedAll;
   }
-  if (InJobSlotBlock(reg) || InAsBlock(reg)) {
-    const uint32_t rel_js = (reg - kJobSlotBase) % kJobSlotStride;
-    const uint32_t rel_as = (reg - kAsBase) % kAsStride;
-    const bool command = (InJobSlotBlock(reg) && (rel_js == kJsCommand ||
-                                                  rel_js == kJsCommandNext)) ||
-                         (InAsBlock(reg) && rel_as == kAsCommand);
-    return command ? kGpuIrqFault : 0;
+  int index = 0;
+  uint32_t rel = 0;
+  if (DecodeJobSlotRegister(reg, &index, &rel)) {
+    return rel == kJsCommand || rel == kJsCommandNext ? kGpuIrqFault : 0;
+  }
+  if (DecodeAsRegister(reg, &index, &rel)) {
+    return rel == kAsCommand ? kGpuIrqFault : 0;
   }
   return 0;
-}
-
-GpuCommandKind ClassifyGpuCommand(uint32_t value) {
-  switch (value) {
-    case kGpuCommandNop: return GpuCommandKind::kNop;
-    case kGpuCommandSoftReset: return GpuCommandKind::kSoftReset;
-    case kGpuCommandHardReset: return GpuCommandKind::kHardReset;
-    case kGpuCommandCleanCaches:
-    case kGpuCommandCleanInvCaches:
-      return GpuCommandKind::kCacheFlush;
-    default:
-      return GpuCommandKind::kUnknown;
-  }
 }
 
 PowerDomain PowerControlDomain(uint32_t offset, bool* is_on, bool* is_hi) {
@@ -622,13 +586,12 @@ bool IsReadIdempotentRegister(uint32_t offset) {
     default:
       break;
   }
-  if (offset >= kJobSlotBase &&
-      offset < kJobSlotBase + kMaxJobSlots * kJobSlotStride) {
-    uint32_t rel = (offset - kJobSlotBase) % kJobSlotStride;
+  int index = 0;
+  uint32_t rel = 0;
+  if (DecodeJobSlotRegister(offset, &index, &rel)) {
     return rel != kJsCommand && rel != kJsCommandNext;
   }
-  if (offset >= kAsBase && offset < kAsBase + kMaxAddressSpaces * kAsStride) {
-    uint32_t rel = (offset - kAsBase) % kAsStride;
+  if (DecodeAsRegister(offset, &index, &rel)) {
     return rel != kAsCommand;
   }
   return true;

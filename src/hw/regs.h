@@ -3,6 +3,16 @@
 // Offsets and bit layouts follow the structure of the open Mali kbase
 // driver's register interface (GPU control / job control / MMU blocks),
 // simplified where the detail does not affect CPU/GPU interaction patterns.
+//
+// This is the one definition of every MMIO-map fact the rest of the tree
+// reasons with: the block decoders (job slot, address space), the
+// job-start write, the reset and flush commands, the IRQ lines with their
+// RAWSTAT/MASK registers, the latches a reset leaves in place, and the
+// register semantics below. The TEE-side verifier, footprint analysis,
+// planopt, recorder, replayer and shim all call these; none keeps a copy.
+// The decoders are header-inline so the replay loop pays no call for
+// them. The device model (gpu.cc) and the cloud driver (src/driver) are
+// what this map describes, not consumers of it.
 #ifndef GRT_SRC_HW_REGS_H_
 #define GRT_SRC_HW_REGS_H_
 
@@ -105,6 +115,22 @@ constexpr uint32_t kGpuCommandHardReset = 0x02;
 constexpr uint32_t kGpuCommandCleanCaches = 0x07;
 constexpr uint32_t kGpuCommandCleanInvCaches = 0x08;
 
+inline bool IsResetCommand(uint32_t value) {
+  return value == kGpuCommandSoftReset || value == kGpuCommandHardReset;
+}
+// CLEAN_CACHES / CLEAN_INV_CACHES (same completion protocol).
+inline bool IsFlushCommand(uint32_t value) {
+  return value == kGpuCommandCleanCaches || value == kGpuCommandCleanInvCaches;
+}
+
+// The CPU-owned latches (RegClass::kCpuConfig) a reset leaves in place:
+// SoftReset and HardReset (gpu.cc) zero every other latch. Exact, unlike
+// MayClobberRegister's reset entry (see there).
+inline bool LatchSurvivesReset(uint32_t offset) {
+  return offset == kRegPwrKey || offset == kRegPwrOverride0 ||
+         offset == kRegPwrOverride1;
+}
+
 // GPU_IRQ bits.
 constexpr uint32_t kGpuIrqFault = 1u << 0;
 constexpr uint32_t kGpuIrqResetCompleted = 1u << 8;
@@ -160,6 +186,40 @@ constexpr uint32_t kJsStatusFaulted = 0x40;
 inline uint32_t JobIrqDoneBit(int slot) { return 1u << slot; }
 inline uint32_t JobIrqFailBit(int slot) { return 1u << (16 + slot); }
 
+constexpr uint32_t JobSlotRegister(int slot, uint32_t rel) {
+  return kJobSlotBase + static_cast<uint32_t>(slot) * kJobSlotStride + rel;
+}
+inline bool IsJobSlotRegister(uint32_t offset) {
+  return offset >= kJobSlotBase &&
+         offset < kJobSlotBase + kMaxJobSlots * kJobSlotStride;
+}
+// Decomposes a job-slot register into (slot, offset within the slot
+// block). False outside the job-slot blocks.
+inline bool DecodeJobSlotRegister(uint32_t offset, int* slot, uint32_t* rel) {
+  if (!IsJobSlotRegister(offset)) {
+    return false;
+  }
+  *slot = static_cast<int>((offset - kJobSlotBase) / kJobSlotStride);
+  *rel = (offset - kJobSlotBase) % kJobSlotStride;
+  return true;
+}
+
+// The write that starts a job: JSn_COMMAND_NEXT = START. `slot` (when
+// non-null) receives n.
+inline bool IsJobStartWrite(uint32_t offset, uint32_t value,
+                            int* slot = nullptr) {
+  int s = 0;
+  uint32_t rel = 0;
+  if (value != kJsCommandStart || !DecodeJobSlotRegister(offset, &s, &rel) ||
+      rel != kJsCommandNext) {
+    return false;
+  }
+  if (slot != nullptr) {
+    *slot = s;
+  }
+  return true;
+}
+
 // ---------------------------------------------------------------------- MMU
 constexpr uint32_t kRegMmuIrqRawstat = 0x2000;
 constexpr uint32_t kRegMmuIrqClear = 0x2004;
@@ -193,6 +253,50 @@ constexpr uint32_t kAsCommandFlushMem = 0x05;
 
 // AS_STATUS bits.
 constexpr uint32_t kAsStatusActive = 1u << 0;
+
+constexpr uint32_t AsRegister(int as, uint32_t rel) {
+  return kAsBase + static_cast<uint32_t>(as) * kAsStride + rel;
+}
+inline bool IsAsRegister(uint32_t offset) {
+  return offset >= kAsBase && offset < kAsBase + kMaxAddressSpaces * kAsStride;
+}
+// Decomposes an address-space register into (AS index, offset within the
+// AS block). False outside the AS blocks.
+inline bool DecodeAsRegister(uint32_t offset, int* as, uint32_t* rel) {
+  if (!IsAsRegister(offset)) {
+    return false;
+  }
+  *as = static_cast<int>((offset - kAsBase) / kAsStride);
+  *rel = (offset - kAsBase) % kAsStride;
+  return true;
+}
+
+// ---------------------------------------------------------------- IRQ lines
+// The three level-triggered interrupt lines; a line is asserted while
+// RAWSTAT & MASK of its block is nonzero. These bits are how an IRQ wait
+// names its lines (LogEntry::irq_lines, PlanOp::irq_lines, the shim's IRQ
+// event): job = bit 0, gpu = bit 1, mmu = bit 2.
+constexpr uint8_t kIrqLineJob = 1u << 0;
+constexpr uint8_t kIrqLineGpu = 1u << 1;
+constexpr uint8_t kIrqLineMmu = 1u << 2;
+constexpr uint8_t kIrqLinesAll = kIrqLineJob | kIrqLineGpu | kIrqLineMmu;
+
+struct IrqLine {
+  uint8_t bit;
+  uint32_t rawstat;  // the register an IRQ wait on the line level-checks
+  uint32_t mask;
+};
+inline constexpr IrqLine kIrqLines[] = {
+    {kIrqLineJob, kRegJobIrqRawstat, kRegJobIrqMask},
+    {kIrqLineGpu, kRegGpuIrqRawstat, kRegGpuIrqMask},
+    {kIrqLineMmu, kRegMmuIrqRawstat, kRegMmuIrqMask},
+};
+
+constexpr uint8_t PackIrqLines(bool job, bool gpu, bool mmu) {
+  return static_cast<uint8_t>((job ? kIrqLineJob : 0) |
+                              (gpu ? kIrqLineGpu : 0) |
+                              (mmu ? kIrqLineMmu : 0));
+}
 
 // Human-readable register name for logs/recordings ("JS0_COMMAND_NEXT").
 const char* RegisterName(uint32_t offset);
@@ -259,7 +363,11 @@ bool WriteHasSideEffects(uint32_t reg, uint32_t value);
 // the asynchronous completion of the operation it starts) change the value
 // subsequently read from `observed_reg`? The model is conservative per
 // gpu.cc semantics; notable entries:
-//   * resets (GPU_COMMAND soft/hard) clobber everything but constants;
+//   * resets (GPU_COMMAND soft/hard) clobber everything but constants.
+//     Coarser than the device on purpose: the latches LatchSurvivesReset
+//     names keep their value, but every stamped footprint (and so every
+//     recording's signed bytes) was computed with this answer, and it
+//     only ever over-approximates;
 //   * JOB_IRQ_CLEAR clobbers JSn_STATUS too (acknowledging a done slot
 //     transitions its status back to idle);
 //   * JSn_COMMAND[_NEXT] job starts clobber the job block, the MMU/AS
@@ -286,18 +394,6 @@ uint32_t ClobberValueClass(uint32_t stimulus_reg, uint32_t stimulus_value);
 // (kGpuIrqFault) are attributed to job/AS activity; resets conservatively
 // include the power-changed bits because bring-up re-powers cores.
 uint32_t GpuIrqBitsRaisedBy(uint32_t reg, uint32_t value);
-
-// GPU_COMMAND value classification for the plan-effect analysis
-// (src/analysis/planopt): closure grammars key on what a command does,
-// not on its numeric value.
-enum class GpuCommandKind : uint8_t {
-  kNop,
-  kSoftReset,
-  kHardReset,
-  kCacheFlush,  // CLEAN_CACHES / CLEAN_INV_CACHES (same completion protocol)
-  kUnknown,
-};
-GpuCommandKind ClassifyGpuCommand(uint32_t value);
 
 // Power-domain decomposition of the power-control / power-status blocks,
 // used by the planopt abstract power evaluator.

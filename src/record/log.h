@@ -36,7 +36,7 @@ struct LogEntry {
   uint32_t value = 0;
   uint32_t mask = 0;      // kPollWait
   uint32_t expected = 0;  // kPollWait
-  uint8_t irq_lines = 0;  // kIrqWait: bit0 job, bit1 gpu, bit2 mmu
+  uint8_t irq_lines = 0;  // kIrqWait: kIrqLine* bits (src/hw/regs.h)
   Duration delay = 0;     // kDelay
   uint64_t pa = 0;        // kMemPage
   bool metastate = false; // kMemPage: page holds GPU metastate

@@ -11,14 +11,7 @@
 namespace grt {
 
 bool IsReplayJobStart(const LogEntry& e) {
-  if (e.op != LogOp::kRegWrite || e.value != kJsCommandStart) {
-    return false;
-  }
-  if (e.reg < kJobSlotBase ||
-      e.reg >= kJobSlotBase + kMaxJobSlots * kJobSlotStride) {
-    return false;
-  }
-  return (e.reg - kJobSlotBase) % kJobSlotStride == kJsCommandNext;
+  return e.op == LogOp::kRegWrite && IsJobStartWrite(e.reg, e.value);
 }
 
 size_t ReplayPlan::CountOps(LogOp kind) const {

@@ -41,10 +41,10 @@
 
 namespace grt {
 
-// The replayer's job-start predicate (a JS*_COMMAND_NEXT = START write):
-// the boundary after which non-metastate page snapshots reflect dry-run
-// compute and are never applied, and before which page snapshots form
-// the initial image.
+// IsJobStartWrite (src/hw/regs.h) over a log entry: the replayer's
+// job-start boundary, after which non-metastate page snapshots reflect
+// dry-run compute and are never applied, and before which page snapshots
+// form the initial image.
 bool IsReplayJobStart(const LogEntry& e);
 
 // The six log kinds (same values as LogOp) plus the fused register span

@@ -8,18 +8,6 @@
 #include "src/obs/metrics.h"
 
 namespace grt {
-namespace {
-
-bool IsJobStartWrite(uint32_t offset, uint32_t value) {
-  if (offset < kJobSlotBase ||
-      offset >= kJobSlotBase + kMaxJobSlots * kJobSlotStride) {
-    return false;
-  }
-  uint32_t rel = (offset - kJobSlotBase) % kJobSlotStride;
-  return rel == kJsCommandNext && value == kJsCommandStart;
-}
-
-}  // namespace
 
 void Recorder::OnRegRead(uint32_t offset, uint32_t value) {
   GRT_OBS_COUNT("recorder.entries", 1);
@@ -65,8 +53,7 @@ void Recorder::OnDelay(Duration d) {
 void Recorder::OnIrqWait(const IrqStatus& status) {
   LogEntry e;
   e.op = LogOp::kIrqWait;
-  e.irq_lines = (status.job ? 1 : 0) | (status.gpu ? 2 : 0) |
-                (status.mmu ? 4 : 0);
+  e.irq_lines = PackIrqLines(status.job, status.gpu, status.mmu);
   log_.Add(std::move(e));
 }
 

@@ -74,7 +74,7 @@ struct ResourceFootprint {
   bool computed = false;  // false: recording predates stamping (warn-only)
   std::vector<FootprintRange> regs;   // MMIO offsets within the GPU window
   std::vector<FootprintRange> pages;  // physical pages (page-aligned)
-  uint8_t irq_lines = 0;     // IRQ lines waited on (bit0 job/1 gpu/2 mmu)
+  uint8_t irq_lines = 0;     // IRQ lines waited on (kIrqLine* bits)
   uint8_t irq_external = 0;  // lines waited on before in-log establishment
   uint32_t slot_write_mask = 0;  // job-slot latch groups written
   uint32_t as_write_mask = 0;    // address-space latch groups written

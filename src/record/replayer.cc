@@ -14,17 +14,6 @@ namespace grt {
 
 namespace {
 
-// One call per completed replay, regardless of path; gated on
-// obs::Enabled() inside the macros, so the disabled path costs a handful
-// of relaxed loads.
-// Job-slot register writes form the dispatch stage of the per-stage
-// breakdown; all other MMIO traffic is reg-io.
-bool IsDispatchReg(uint32_t reg) {
-  return reg >= kJobSlotBase &&
-         reg < kJobSlotBase + static_cast<uint32_t>(kMaxJobSlots) *
-                                  kJobSlotStride;
-}
-
 uint64_t WallNowNs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -32,6 +21,9 @@ uint64_t WallNowNs() {
           .count());
 }
 
+// One call per completed replay, regardless of path; gated on
+// obs::Enabled() inside the macros, so the disabled path costs a handful
+// of relaxed loads.
 void CountReplayReport(const ReplayReport& report) {
   GRT_OBS_COUNT("replay.ops_executed", report.entries_replayed);
   GRT_OBS_COUNT("replay.pages_applied", report.pages_applied);
@@ -204,9 +196,7 @@ Status Replayer::InjectTensors(bool warm) {
 Status Replayer::WaitIrqLines(uint8_t lines, uint8_t tolerated) {
   TimePoint deadline = timeline_->now() + config_.irq_timeout;
   for (;;) {
-    uint8_t have = (gpu_->JobIrqAsserted() ? 1 : 0) |
-                   (gpu_->GpuIrqAsserted() ? 2 : 0) |
-                   (gpu_->MmuIrqAsserted() ? 4 : 0);
+    uint8_t have = gpu_->AssertedIrqLines();
     if ((have & lines) == lines) {
       return OkStatus();
     }
@@ -340,12 +330,12 @@ Result<ReplayReport> Replayer::Replay() {
   }
 
   // The full plan has no spans, full verify masks and tolerates no stray
-  // interrupt line. The fused program tolerates the GPU line (2) only if
-  // it owns rawstat bits that can hold it asserted.
+  // interrupt line. The fused program tolerates the GPU line only if it
+  // owns rawstat bits that can hold it asserted.
   if (fused) {
     const WarmProgram& prog = *plan_->warm;
     GRT_RETURN_IF_ERROR(Execute(prog.ops, prog.span_writes.data(),
-                                prog.owned_gpu_irq_bits != 0 ? 2 : 0,
+                                prog.owned_gpu_irq_bits != 0 ? kIrqLineGpu : 0,
                                 &report));
   } else {
     GRT_RETURN_IF_ERROR(Execute(plan_->ops, nullptr, 0, &report));
@@ -411,8 +401,10 @@ Status Replayer::Execute(const std::vector<PlanOp>& ops,
       }
       case PlanOpKind::kRegWrite: {
         timeline_->Advance(kMmioCost);
-        (IsDispatchReg(op.reg) ? report->stage_dispatch
-                               : report->stage_reg_io) += kMmioCost;
+        // Job-slot register writes form the dispatch stage of the
+        // per-stage breakdown; all other MMIO traffic is reg-io.
+        (IsJobSlotRegister(op.reg) ? report->stage_dispatch
+                                   : report->stage_reg_io) += kMmioCost;
         GRT_RETURN_IF_ERROR(
             tzasc_->WriteGpuRegister(World::kSecure, gpu_, op.reg, op.value));
         break;

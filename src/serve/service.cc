@@ -179,16 +179,12 @@ void ReplayService::SubmitCallback(ReplayRequest request,
         item.enqueued = now;
         queue_.push_back(std::move(item));
         admitted = true;
-        GRT_OBS_GAUGE_SET("serve.queue_depth", queue_.size());
       }
     }
   }
   // Rejection callbacks run inline, but never under queue_mu_ — a caller's
   // completion path may take its own locks or query Stats().
   if (!admitted) {
-    if (reject.code() == StatusCode::kTenantThrottled) {
-      GRT_OBS_COUNT("serve.throttled", 1);
-    }
     ReplayResponse response;
     response.workload = request.workload;
     response.status = std::move(reject);
@@ -232,7 +228,6 @@ void ReplayService::FailExpired(std::vector<QueueItem> expired,
       ++stats_.tenants[item.request.tenant].expired;
     }
   }
-  GRT_OBS_COUNT("serve.expired_in_queue", expired.size());
   for (QueueItem& item : expired) {
     ReplayResponse response;
     response.workload = item.request.workload;
@@ -378,10 +373,6 @@ Result<ReplayService::ResolvedPlan> ReplayService::Resolve(
       plans_.erase(victim);
       std::lock_guard<std::mutex> slock(stats_mu_);
       ++stats_.plan_evictions;
-      // Keep the residency snapshot honest at every mutation: refreshing
-      // it only on the insert below let a Stats() between evict and
-      // insert over-report cache residency.
-      stats_.plans_cached = plans_.size();
     }
     PlanEntry entry;
     entry.recording = binding.recording;
@@ -392,7 +383,6 @@ Result<ReplayService::ResolvedPlan> ReplayService::Resolve(
     it = plans_.emplace(binding.digest, std::move(entry)).first;
     std::lock_guard<std::mutex> slock(stats_mu_);
     ++stats_.plan_misses;
-    stats_.plans_cached = plans_.size();
   }
 
   ResolvedPlan resolved;
@@ -424,7 +414,6 @@ void ReplayService::WorkerLoop(int index) {
       // rejects now, not one pop at a time.
       now = std::chrono::steady_clock::now();
       expired = SweepExpiredLocked(now);
-      GRT_OBS_GAUGE_SET("serve.queue_depth", queue_.size());
       if (batch.size() > 1) {
         std::lock_guard<std::mutex> slock(stats_mu_);
         ++stats_.batches;
@@ -503,7 +492,6 @@ void ReplayService::ServeBatch(int index, std::vector<QueueItem> batch) {
         ++stats_.expired_at_dequeue;
         ++stats_.tenants[m.item.request.tenant].expired;
       }
-      GRT_OBS_COUNT("serve.expired_at_dequeue", 1);
       m.finished = true;
       m.item.done(std::move(m.response));
     }

@@ -21,15 +21,11 @@ constexpr Duration kDriverReloadCost = 500 * kMillisecond;
 constexpr Duration kRecompilePerJob = 20 * kMillisecond;
 
 bool IsJobStartItem(bool is_write, uint32_t reg, const SymNodePtr& node) {
-  if (!is_write || reg < kJobSlotBase ||
-      reg >= kJobSlotBase + kMaxJobSlots * kJobSlotStride) {
-    return false;
-  }
-  if ((reg - kJobSlotBase) % kJobSlotStride != kJsCommandNext) {
+  if (!is_write || !IsJobSlotRegister(reg)) {
     return false;
   }
   auto v = EvalSym(node);
-  return v.ok() && v.value() == kJsCommandStart;
+  return v.ok() && IsJobStartWrite(reg, v.value());
 }
 
 }  // namespace
@@ -739,9 +735,9 @@ Result<IrqStatus> DriverShim::WaitForIrq(Duration timeout) {
   log_.Add(std::move(e));
 
   IrqStatus status;
-  status.job = (event.value().lines & 1) != 0;
-  status.gpu = (event.value().lines & 2) != 0;
-  status.mmu = (event.value().lines & 4) != 0;
+  status.job = (event.value().lines & kIrqLineJob) != 0;
+  status.gpu = (event.value().lines & kIrqLineGpu) != 0;
+  status.mmu = (event.value().lines & kIrqLineMmu) != 0;
   return status;
 }
 

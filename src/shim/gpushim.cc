@@ -206,9 +206,7 @@ Result<IrqEventMsg> GpuShim::AwaitIrq(Duration timeout) {
   TimePoint deadline = timeline_->now() + timeout;
   for (;;) {
     IrqEventMsg event;
-    event.lines = (gpu_->JobIrqAsserted() ? 1 : 0) |
-                  (gpu_->GpuIrqAsserted() ? 2 : 0) |
-                  (gpu_->MmuIrqAsserted() ? 4 : 0);
+    event.lines = gpu_->AssertedIrqLines();
     if (event.lines != 0) {
       // §5: "Right after the client GPU raises an interrupt signaling job
       // completion, GPUShim forwards the interrupt and uploads its memory

@@ -82,7 +82,7 @@ struct PollReplyMsg {
 
 // --------------------------------------------------------------- IRQ events
 struct IrqEventMsg {
-  uint8_t lines = 0;  // bit0 job, bit1 gpu, bit2 mmu
+  uint8_t lines = 0;  // kIrqLine* bits (src/hw/regs.h)
   Bytes mem_dump;     // client->cloud memory synchronization payload
   Bytes Serialize() const;
   static Result<IrqEventMsg> Deserialize(const Bytes& raw);

@@ -180,12 +180,12 @@ std::vector<LogEntry> CleanProtocolLog() {
       Write(kRegGpuCommand, kGpuCommandSoftReset),
       Write(kRegL2PwrOnLo, 0x1),
       Write(kRegShaderPwrOnLo, 0xFF),
-      Write(kAsBase + kAsTranstabLo, 0x80000000),
-      Write(kAsBase + kAsMemattrLo, 0x88888888),
-      Write(kAsBase + kAsCommand, kAsCommandUpdate),
-      Write(kJobSlotBase + kJsAffinityNextLo, 0xFF),
-      Write(kJobSlotBase + kJsConfigNext, 0),
-      Write(kJobSlotBase + kJsCommandNext, kJsCommandStart),
+      Write(AsRegister(0, kAsTranstabLo), 0x80000000),
+      Write(AsRegister(0, kAsMemattrLo), 0x88888888),
+      Write(AsRegister(0, kAsCommand), kAsCommandUpdate),
+      Write(JobSlotRegister(0, kJsAffinityNextLo), 0xFF),
+      Write(JobSlotRegister(0, kJsConfigNext), 0),
+      Write(JobSlotRegister(0, kJsCommandNext), kJsCommandStart),
       Write(kRegJobIrqClear, JobIrqDoneBit(0)),
   };
 }
@@ -199,7 +199,7 @@ TEST(RegisterProtocolPass, CleanSequencePasses) {
 TEST(RegisterProtocolPass, JobBeforeReset) {
   RegisterProtocolPass pass;
   auto report = RunPass(
-      pass, MakeRecording({Write(kJobSlotBase + kJsCommandNext,
+      pass, MakeRecording({Write(JobSlotRegister(0, kJsCommandNext),
                                  kJsCommandStart)}));
   EXPECT_TRUE(HasErrorAt(report, "register-protocol", 0));
 }
@@ -208,7 +208,7 @@ TEST(RegisterProtocolPass, ResubmitOnBusySlot) {
   auto log = CleanProtocolLog();
   // Second START before the first job's IRQ is acknowledged.
   log.insert(log.begin() + 9,
-             Write(kJobSlotBase + kJsCommandNext, kJsCommandStart));
+             Write(JobSlotRegister(0, kJsCommandNext), kJsCommandStart));
   RegisterProtocolPass pass;
   auto report = RunPass(pass, MakeRecording(log));
   EXPECT_TRUE(HasErrorAt(report, "register-protocol", 9));
@@ -227,14 +227,14 @@ TEST(RegisterProtocolPass, AsUpdateWithoutTranstab) {
   auto report = RunPass(
       pass, MakeRecording({
                 Write(kRegGpuCommand, kGpuCommandSoftReset),
-                Write(kAsBase + kAsCommand, kAsCommandUpdate),
+                Write(AsRegister(0, kAsCommand), kAsCommandUpdate),
             }));
   EXPECT_TRUE(HasErrorAt(report, "register-protocol", 1));
 }
 
 TEST(RegisterProtocolPass, JobOnUnconfiguredAddressSpace) {
   auto log = CleanProtocolLog();
-  log[7] = Write(kJobSlotBase + kJsConfigNext, 3);  // AS3 never configured
+  log[7] = Write(JobSlotRegister(0, kJsConfigNext), 3);  // AS3 never configured
   RegisterProtocolPass pass;
   auto report = RunPass(pass, MakeRecording(log));
   EXPECT_TRUE(HasErrorAt(report, "register-protocol", 8));
@@ -269,8 +269,8 @@ TEST(RegisterProtocolPass, ContinuationSegmentInheritsState) {
   // A lone job start is fine when the log continues from an initialized
   // device (layered recording, segment > 0).
   Recording rec = MakeRecording({
-      Write(kJobSlotBase + kJsAffinityNextLo, 0xFF),
-      Write(kJobSlotBase + kJsCommandNext, kJsCommandStart),
+      Write(JobSlotRegister(0, kJsAffinityNextLo), 0xFF),
+      Write(JobSlotRegister(0, kJsCommandNext), kJsCommandStart),
   });
   rec.header.segment_index = 1;
   rec.header.segment_count = 2;
@@ -298,8 +298,8 @@ TEST(PollIdempotencePass, NonIdempotentTarget) {
   PollIdempotencePass pass;
   auto report = RunPass(
       pass, MakeRecording({Poll(kRegGpuCommand, 1, 1, 1),
-                           Poll(kJobSlotBase + kJsCommandNext, 1, 1, 1),
-                           Poll(kAsBase + kAsCommand, 1, 1, 1),
+                           Poll(JobSlotRegister(0, kJsCommandNext), 1, 1, 1),
+                           Poll(AsRegister(0, kAsCommand), 1, 1, 1),
                            Poll(kRegShaderPwrOnLo, 1, 1, 1)}));
   EXPECT_TRUE(HasErrorAt(report, "poll-idempotence", 0));
   EXPECT_TRUE(HasErrorAt(report, "poll-idempotence", 1));
@@ -337,7 +337,7 @@ TEST(PollIdempotencePass, WellFormedPollsPass) {
                 Poll(kRegGpuIrqRawstat, kGpuIrqResetCompleted,
                      kGpuIrqResetCompleted, kGpuIrqResetCompleted),
                 Poll(kRegShaderPwrTransLo, 0xFF, 0, 0),
-                Poll(kAsBase + kAsStatus, kAsStatusActive, 0, 0),
+                Poll(AsRegister(0, kAsStatus), kAsStatusActive, 0, 0),
             }));
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
@@ -378,12 +378,13 @@ struct TableFixture {
 
   std::vector<LogEntry> JobEntries() const {
     return {
-        Write(kAsBase + kAsTranstabLo, static_cast<uint32_t>(root)),
-        Write(kAsBase + kAsTranstabHi, static_cast<uint32_t>(root >> 32)),
-        Write(kJobSlotBase + kJsHeadNextLo, static_cast<uint32_t>(va)),
-        Write(kJobSlotBase + kJsHeadNextHi, static_cast<uint32_t>(va >> 32)),
-        Write(kJobSlotBase + kJsConfigNext, 0),
-        Write(kJobSlotBase + kJsCommandNext, kJsCommandStart),
+        Write(AsRegister(0, kAsTranstabLo), static_cast<uint32_t>(root)),
+        Write(AsRegister(0, kAsTranstabHi), static_cast<uint32_t>(root >> 32)),
+        Write(JobSlotRegister(0, kJsHeadNextLo), static_cast<uint32_t>(va)),
+        Write(JobSlotRegister(0, kJsHeadNextHi),
+              static_cast<uint32_t>(va >> 32)),
+        Write(JobSlotRegister(0, kJsConfigNext), 0),
+        Write(JobSlotRegister(0, kJsCommandNext), kJsCommandStart),
     };
   }
 };
@@ -429,7 +430,7 @@ TEST(MetastateCoveragePass, UnmappedChainHead) {
   TableFixture fx;
   auto log = fx.SyncEntries();
   auto job = fx.JobEntries();
-  job[2] = Write(kJobSlotBase + kJsHeadNextLo, 0x900000);  // unmapped va
+  job[2] = Write(JobSlotRegister(0, kJsHeadNextLo), 0x900000);  // unmapped va
   log.insert(log.end(), job.begin(), job.end());
   MetastateCoveragePass pass;
   auto report = RunPass(pass, MakeRecording(log));
@@ -461,7 +462,8 @@ TEST(SkuCompatPass, AffinityBeyondPresentCores) {
   SkuCompatPass pass;
   auto report = RunPass(
       pass, MakeRecording({
-                Write(kJobSlotBase + kJsAffinityNextLo, 0xFFFF),  // MP8 = 0xFF
+                // MP8 = 0xFF
+                Write(JobSlotRegister(0, kJsAffinityNextLo), 0xFFFF),
                 Write(kRegShaderPwrOnLo, 0x100),
             }));
   EXPECT_TRUE(HasErrorAt(report, "sku-compat", 0));
@@ -471,7 +473,7 @@ TEST(SkuCompatPass, AffinityBeyondPresentCores) {
 TEST(SkuCompatPass, JobConfigBeyondAddressSpaces) {
   SkuCompatPass pass;
   auto report = RunPass(
-      pass, MakeRecording({Write(kJobSlotBase + kJsConfigNext, 9)}));
+      pass, MakeRecording({Write(JobSlotRegister(0, kJsConfigNext), 9)}));
   EXPECT_TRUE(HasErrorAt(report, "sku-compat", 0));
 }
 
@@ -558,10 +560,7 @@ size_t FirstIndexOf(const InteractionLog& log,
 }
 
 bool IsJobStart(const LogEntry& e) {
-  return e.op == LogOp::kRegWrite && e.value == kJsCommandStart &&
-         e.reg >= kJobSlotBase &&
-         e.reg < kJobSlotBase + kMaxJobSlots * kJobSlotStride &&
-         (e.reg - kJobSlotBase) % kJobSlotStride == kJsCommandNext;
+  return e.op == LogOp::kRegWrite && IsJobStartWrite(e.reg, e.value);
 }
 
 class CorpusTest : public ::testing::Test {

@@ -156,10 +156,10 @@ TEST(InterferenceLattice, SharedAddressSpaceWriteMaskConflicts) {
 
 TEST(InterferenceLattice, IrqLineVsExternalWaitIsSerializable) {
   ResourceFootprint a = Empty();
-  a.irq_lines = 0b001;  // waits on (and thus consumes) the job line
+  a.irq_lines = kIrqLineJob;  // waits on (and thus consumes) the job line
   ResourceFootprint b = Empty();
-  b.irq_lines = 0b001;
-  b.irq_external = 0b001;  // waited before establishing the source itself
+  b.irq_lines = kIrqLineJob;
+  b.irq_external = kIrqLineJob;  // waited before establishing the source itself
   EXPECT_EQ(Verdict(a, b), Interference::kSerializable);
 
   b.irq_external = 0;
@@ -180,13 +180,13 @@ TEST(FootprintCoversTest, SupersetCoversSubset) {
   ResourceFootprint declared =
       WithRegs({{0x100, 0x200, kFpRead | kFpWrite}});
   declared.pages = {{0x80000000, 0x80004000, kFpWrite | kFpRead}};
-  declared.irq_lines = 0b111;
+  declared.irq_lines = kIrqLinesAll;
   declared.slot_write_mask = 0b11;
   declared.as_write_mask = 0b11;
 
   ResourceFootprint required = WithRegs({{0x140, 0x180, kFpWrite}});
   required.pages = {{0x80001000, 0x80002000, kFpWrite}};
-  required.irq_lines = 0b001;
+  required.irq_lines = kIrqLineJob;
   required.slot_write_mask = 0b01;
   required.as_write_mask = 0b10;
 

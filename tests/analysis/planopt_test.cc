@@ -207,8 +207,7 @@ TEST(PlanoptSoundness, RejectsHiddenJobSlotWrite) {
             continue;
           }
           const PlanOp& op = f.plan.ops[r.src_index];
-          if (op.kind != PlanOpKind::kRegWrite ||
-              !planopt::IsJobSlotRegister(op.reg)) {
+          if (op.kind != PlanOpKind::kRegWrite || !IsJobSlotRegister(op.reg)) {
             continue;
           }
           r.kind = PlanRewriteKind::kElideNoopLatch;

@@ -7,6 +7,9 @@
 // may touch.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "src/hw/gpu.h"
 #include "src/hw/regs.h"
 
 namespace grt {
@@ -26,20 +29,21 @@ TEST(RegClassify, ConstantsSurviveEverything) {
 
 TEST(RegClassify, LatchesTriggersStatusNondet) {
   EXPECT_EQ(ClassifyRegister(kRegGpuIrqMask), RegClass::kCpuConfig);
-  EXPECT_EQ(ClassifyRegister(kJobSlotBase + kJsHeadNextLo),
+  EXPECT_EQ(ClassifyRegister(JobSlotRegister(0, kJsHeadNextLo)),
             RegClass::kCpuConfig);
   EXPECT_EQ(ClassifyRegister(kRegShaderConfig), RegClass::kCpuConfig);
-  EXPECT_EQ(ClassifyRegister(kAsBase + kAsTranstabLo), RegClass::kCpuConfig);
+  EXPECT_EQ(ClassifyRegister(AsRegister(0, kAsTranstabLo)),
+            RegClass::kCpuConfig);
 
   EXPECT_EQ(ClassifyRegister(kRegGpuCommand), RegClass::kTrigger);
   EXPECT_EQ(ClassifyRegister(kRegGpuIrqClear), RegClass::kTrigger);
   EXPECT_EQ(ClassifyRegister(kRegShaderPwrOnLo), RegClass::kTrigger);
-  EXPECT_EQ(ClassifyRegister(kJobSlotBase + kJsCommandNext),
+  EXPECT_EQ(ClassifyRegister(JobSlotRegister(0, kJsCommandNext)),
             RegClass::kTrigger);
 
   EXPECT_EQ(ClassifyRegister(kRegGpuIrqRawstat), RegClass::kDeviceStatus);
   EXPECT_EQ(ClassifyRegister(kRegShaderReadyLo), RegClass::kDeviceStatus);
-  EXPECT_EQ(ClassifyRegister(kJobSlotBase + kJsStatus),
+  EXPECT_EQ(ClassifyRegister(JobSlotRegister(0, kJsStatus)),
             RegClass::kDeviceStatus);
 
   EXPECT_EQ(ClassifyRegister(kRegLatestFlush), RegClass::kNondet);
@@ -50,7 +54,7 @@ TEST(RegClassify, LatchesTriggersStatusNondet) {
 
 TEST(SideEffects, PureLatchesHaveNone) {
   EXPECT_FALSE(WriteHasSideEffects(kRegGpuIrqMask, 0x7));
-  EXPECT_FALSE(WriteHasSideEffects(kJobSlotBase + kJsConfigNext, 0x1234));
+  EXPECT_FALSE(WriteHasSideEffects(JobSlotRegister(0, kJsConfigNext), 0x1234));
   EXPECT_TRUE(WriteHasSideEffects(kRegGpuCommand, kGpuCommandCleanCaches));
   EXPECT_TRUE(WriteHasSideEffects(kRegShaderPwrOnLo, 0xFF));
   EXPECT_TRUE(WriteHasSideEffects(kRegGpuIrqClear, 0x1));
@@ -75,7 +79,7 @@ TEST(ClobberModel, ResetsClobberAllButConstants) {
     EXPECT_TRUE(MayClobberRegister(kRegGpuCommand, cmd, kRegGpuIrqMask));
     EXPECT_TRUE(MayClobberRegister(kRegGpuCommand, cmd, kRegShaderReadyLo));
     EXPECT_TRUE(
-        MayClobberRegister(kRegGpuCommand, cmd, kJobSlotBase + kJsStatus));
+        MayClobberRegister(kRegGpuCommand, cmd, JobSlotRegister(0, kJsStatus)));
     EXPECT_FALSE(MayClobberRegister(kRegGpuCommand, cmd, kRegGpuId));
   }
   // A NOP command is not a reset.
@@ -90,16 +94,16 @@ TEST(ClobberModel, ConfigWritesOnlyLatch) {
   EXPECT_FALSE(
       MayClobberRegister(kRegShaderConfig, 0x5, kRegShaderReadyLo));
   EXPECT_FALSE(
-      MayClobberRegister(kJobSlotBase + kJsHeadNextLo, 0x1000,
-                         kJobSlotBase + kJsStatus));
+      MayClobberRegister(JobSlotRegister(0, kJsHeadNextLo), 0x1000,
+                         JobSlotRegister(0, kJsStatus)));
   // ...except IRQ masks, which gate the matching IRQ_STATUS view.
   EXPECT_TRUE(MayClobberRegister(kRegGpuIrqMask, 0x1, kRegGpuIrqStatus));
 }
 
 TEST(ClobberModel, JobStartsClobberJobButNotPower) {
-  const uint32_t js_cmd = kJobSlotBase + kJsCommand;
+  const uint32_t js_cmd = JobSlotRegister(0, kJsCommand);
   EXPECT_TRUE(MayClobberRegister(js_cmd, kJsCommandStart,
-                                 kJobSlotBase + kJsStatus));
+                                 JobSlotRegister(0, kJsStatus)));
   EXPECT_TRUE(MayClobberRegister(js_cmd, kJsCommandStart, kRegJobIrqRawstat));
   EXPECT_TRUE(MayClobberRegister(js_cmd, kJsCommandStart, kRegMmuIrqRawstat));
   EXPECT_TRUE(MayClobberRegister(js_cmd, kJsCommandStart, kRegGpuFaultStatus));
@@ -126,7 +130,7 @@ TEST(ClobberModel, IrqClears) {
   // JOB_IRQ_CLEAR also re-idles acknowledged slots' status registers.
   EXPECT_TRUE(MayClobberRegister(kRegJobIrqClear, 0x1, kRegJobIrqRawstat));
   EXPECT_TRUE(
-      MayClobberRegister(kRegJobIrqClear, 0x1, kJobSlotBase + kJsStatus));
+      MayClobberRegister(kRegJobIrqClear, 0x1, JobSlotRegister(0, kJsStatus)));
   EXPECT_TRUE(MayClobberRegister(kRegMmuIrqClear, 0x1, kRegMmuIrqRawstat));
   EXPECT_FALSE(MayClobberRegister(kRegMmuIrqClear, 0x1, kRegGpuIrqRawstat));
 }
@@ -143,9 +147,8 @@ TEST(ClobberModel, ValueClassesPartitionTheModel) {
       kRegJobIrqClear,          kRegMmuIrqClear,
       kRegGpuIrqMask,           kRegShaderConfig,
       kRegShaderPwrOnLo,        kRegL2PwrOffHi,
-      kJobSlotBase + kJsCommand,
-      kJobSlotBase + kJsHeadNextLo,
-      kAsBase + kAsCommand,     kAsBase + kAsTranstabLo,
+      JobSlotRegister(0, kJsCommand), JobSlotRegister(0, kJsHeadNextLo),
+      AsRegister(0, kAsCommand), AsRegister(0, kAsTranstabLo),
       kRegGpuStatus /* status write: worst-case stimulus */};
   const uint32_t values[] = {0,
                              1,
@@ -192,12 +195,169 @@ TEST(IrqBitsRaised, PerStimulusAttribution) {
                 (kGpuIrqPowerChangedSingle | kGpuIrqPowerChangedAll),
             kGpuIrqPowerChangedSingle | kGpuIrqPowerChangedAll);
   // Job/AS activity may fault, nothing more, on the GPU IRQ surface.
-  EXPECT_EQ(GpuIrqBitsRaisedBy(kJobSlotBase + kJsCommand, kJsCommandStart),
+  EXPECT_EQ(GpuIrqBitsRaisedBy(JobSlotRegister(0, kJsCommand), kJsCommandStart),
             kGpuIrqFault);
-  EXPECT_EQ(GpuIrqBitsRaisedBy(kAsBase + kAsCommand, kAsCommandFlushMem),
+  EXPECT_EQ(GpuIrqBitsRaisedBy(AsRegister(0, kAsCommand), kAsCommandFlushMem),
             kGpuIrqFault);
   // Pure latches raise nothing.
   EXPECT_EQ(GpuIrqBitsRaisedBy(kRegGpuIrqMask, 0x7FF), 0u);
+}
+
+// ------------------------------------------------------- one register map
+
+// The block index n of a register named "<prefix><n>_...", or -1.
+int NamedBlockIndex(const std::string& name, const char* prefix) {
+  const std::string p(prefix);
+  size_t i = p.size();
+  if (name.compare(0, i, p) != 0 || i >= name.size() ||
+      name[i] < '0' || name[i] > '9') {
+    return -1;
+  }
+  int n = 0;
+  while (i < name.size() && name[i] >= '0' && name[i] <= '9') {
+    n = n * 10 + (name[i++] - '0');
+  }
+  return i < name.size() && name[i] == '_' ? n : -1;
+}
+
+TEST(RegisterMap, BlockDecodersAgreeWithNamesAndClasses) {
+  int js_regs = 0;
+  int as_regs = 0;
+  int job_starts = 0;
+  for (uint32_t off = 0; off < kGpuMmioSize; off += 4) {
+    const std::string name = RegisterName(off);
+    // JSn_FEATURES sits in the GPU control block, not a slot block.
+    const bool features = name.ends_with("_FEATURES");
+    const bool unnamed = name.ends_with("_?");
+
+    int slot = -1;
+    uint32_t js_rel = 0;
+    const bool js = DecodeJobSlotRegister(off, &slot, &js_rel);
+    EXPECT_EQ(js, IsJobSlotRegister(off)) << name;
+    const int js_named = features ? -1 : NamedBlockIndex(name, "JS");
+    EXPECT_EQ(js, js_named >= 0) << name;
+    if (js) {
+      ++js_regs;
+      EXPECT_EQ(slot, js_named) << name;
+      EXPECT_EQ(JobSlotRegister(slot, js_rel), off) << name;
+      EXPECT_EQ(unnamed, ClassifyRegister(off) == RegClass::kUnknown)
+          << name;
+    }
+
+    int as = -1;
+    uint32_t as_rel = 0;
+    const bool in_as = DecodeAsRegister(off, &as, &as_rel);
+    EXPECT_EQ(in_as, IsAsRegister(off)) << name;
+    EXPECT_EQ(in_as, NamedBlockIndex(name, "AS") >= 0) << name;
+    if (in_as) {
+      ++as_regs;
+      EXPECT_EQ(as, NamedBlockIndex(name, "AS")) << name;
+      EXPECT_EQ(AsRegister(as, as_rel), off) << name;
+      EXPECT_EQ(unnamed, ClassifyRegister(off) == RegClass::kUnknown)
+          << name;
+    }
+
+    // A job starts exactly on JSn_COMMAND_NEXT = START.
+    const bool command_next =
+        js && name == "JS" + std::to_string(slot) + "_COMMAND_NEXT";
+    int start_slot = -1;
+    EXPECT_EQ(IsJobStartWrite(off, kJsCommandStart, &start_slot),
+              command_next)
+        << name;
+    if (command_next) {
+      ++job_starts;
+      EXPECT_EQ(start_slot, slot) << name;
+      EXPECT_TRUE(IsJobStartWrite(off, kJsCommandStart));
+    }
+    for (uint32_t value : {kJsCommandNop, kJsCommandSoftStop,
+                           kJsCommandHardStop, 0xFFFFFFFFu}) {
+      EXPECT_FALSE(IsJobStartWrite(off, value)) << name << " = " << value;
+    }
+  }
+  EXPECT_EQ(js_regs, static_cast<int>((JobSlotRegister(kMaxJobSlots, 0) -
+                                        JobSlotRegister(0, 0)) / 4));
+  EXPECT_EQ(as_regs, static_cast<int>((AsRegister(kMaxAddressSpaces, 0) -
+                                        AsRegister(0, 0)) / 4));
+  EXPECT_EQ(job_starts, kMaxJobSlots);
+}
+
+TEST(RegisterMap, IrqLinesNameTheirRawstatAndMask) {
+  const char* const kBlocks[] = {"JOB_", "GPU_", "MMU_"};
+  const uint8_t kBits[] = {kIrqLineJob, kIrqLineGpu, kIrqLineMmu};
+  uint8_t all = 0;
+  int i = 0;
+  for (const IrqLine& line : kIrqLines) {
+    EXPECT_EQ(line.bit, kBits[i]);
+    EXPECT_EQ(line.bit & all, 0);
+    all |= line.bit;
+    const std::string block = kBlocks[i++];
+    EXPECT_EQ(RegisterName(line.rawstat), block + "IRQ_RAWSTAT");
+    EXPECT_EQ(RegisterName(line.mask), block + "IRQ_MASK");
+    EXPECT_EQ(ClassifyRegister(line.rawstat), RegClass::kDeviceStatus);
+    EXPECT_EQ(ClassifyRegister(line.mask), RegClass::kCpuConfig);
+  }
+  EXPECT_EQ(i, 3);
+  EXPECT_EQ(all, kIrqLinesAll);
+  EXPECT_EQ(PackIrqLines(true, false, false), kIrqLineJob);
+  EXPECT_EQ(PackIrqLines(false, true, false), kIrqLineGpu);
+  EXPECT_EQ(PackIrqLines(false, false, true), kIrqLineMmu);
+  EXPECT_EQ(PackIrqLines(true, true, true), kIrqLinesAll);
+}
+
+class DeviceRegisterMapTest : public ::testing::Test {
+ protected:
+  DeviceRegisterMapTest()
+      : sku_(FindSku(SkuId::kMaliG71Mp8).value()),
+        mem_(0x80000000ull, 1 << 20),
+        tl_("client"),
+        gpu_(sku_, &mem_, &tl_, 7) {}
+
+  uint32_t Read(uint32_t reg) { return gpu_.ReadRegister(reg).value(); }
+  void Write(uint32_t reg, uint32_t v) {
+    ASSERT_TRUE(gpu_.WriteRegister(reg, v).ok());
+  }
+
+  GpuSku sku_;
+  PhysicalMemory mem_;
+  Timeline tl_;
+  MaliGpu gpu_;
+};
+
+TEST_F(DeviceRegisterMapTest, ResetKeepsExactlyTheSurvivingLatches) {
+  // Latch a nonzero value into every CPU-owned latch the device models,
+  // soft-reset, and compare what survived with LatchSurvivesReset.
+  std::vector<std::pair<uint32_t, uint32_t>> latched;
+  for (uint32_t off = 0; off < kGpuMmioSize; off += 4) {
+    if (ClassifyRegister(off) != RegClass::kCpuConfig) {
+      EXPECT_FALSE(LatchSurvivesReset(off)) << RegisterName(off);
+      continue;
+    }
+    Write(off, 0x00A5A5A0u | off);
+    const uint32_t before = Read(off);
+    if (before != 0) {
+      latched.emplace_back(off, before);
+    }
+  }
+  Write(kRegGpuCommand, kGpuCommandSoftReset);
+  int survivors = 0;
+  for (const auto& [off, before] : latched) {
+    const uint32_t after = Read(off);
+    EXPECT_EQ(after, LatchSurvivesReset(off) ? before : 0u)
+        << RegisterName(off);
+    survivors += LatchSurvivesReset(off) ? 1 : 0;
+  }
+  EXPECT_EQ(survivors, 3);
+  EXPECT_GT(latched.size(), 20u);
+}
+
+TEST_F(DeviceRegisterMapTest, AssertedIrqLinesPacksTheLevels) {
+  EXPECT_EQ(gpu_.AssertedIrqLines(), 0);
+  Write(kRegGpuCommand, kGpuCommandSoftReset);
+  Write(kRegGpuIrqMask, kGpuIrqResetCompleted);
+  tl_.Advance(200 * kMicrosecond);
+  EXPECT_EQ(gpu_.AssertedIrqLines(), kIrqLineGpu);
+  Write(kRegGpuIrqClear, kGpuIrqResetCompleted);
+  EXPECT_EQ(gpu_.AssertedIrqLines(), 0);
 }
 
 }  // namespace

@@ -118,12 +118,12 @@ TEST_F(GpuTest, SlowFlushQuirkHonorsWorkaround) {
 }
 
 TEST_F(GpuTest, AsUpdateLatchesRootAndGoesIdle) {
-  Write(kAsBase + kAsTranstabLo, 0x80004000);
-  Write(kAsBase + kAsTranstabHi, 0);
-  Write(kAsBase + kAsCommand, kAsCommandUpdate);
-  EXPECT_EQ(Read(kAsBase + kAsStatus) & kAsStatusActive, kAsStatusActive);
+  Write(AsRegister(0, kAsTranstabLo), 0x80004000);
+  Write(AsRegister(0, kAsTranstabHi), 0);
+  Write(AsRegister(0, kAsCommand), kAsCommandUpdate);
+  EXPECT_EQ(Read(AsRegister(0, kAsStatus)) & kAsStatusActive, kAsStatusActive);
   tl_.Advance(100 * kMicrosecond);
-  EXPECT_EQ(Read(kAsBase + kAsStatus) & kAsStatusActive, 0u);
+  EXPECT_EQ(Read(AsRegister(0, kAsStatus)) & kAsStatusActive, 0u);
 }
 
 TEST_F(GpuTest, IrqMaskGatesStatusAndLines) {
@@ -140,22 +140,22 @@ TEST_F(GpuTest, IrqMaskGatesStatusAndLines) {
 
 TEST_F(GpuTest, JobWithoutPowerFails) {
   Write(kRegJobIrqMask, 0xFFFFFFFF);
-  Write(kJobSlotBase + kJsHeadNextLo, 0x10000000);
-  Write(kJobSlotBase + kJsAffinityNextLo, sku_.shader_present);
-  Write(kJobSlotBase + kJsCommandNext, kJsCommandStart);
+  Write(JobSlotRegister(0, kJsHeadNextLo), 0x10000000);
+  Write(JobSlotRegister(0, kJsAffinityNextLo), sku_.shader_present);
+  Write(JobSlotRegister(0, kJsCommandNext), kJsCommandStart);
   tl_.Advance(kMillisecond);
   EXPECT_NE(Read(kRegJobIrqRawstat) & JobIrqFailBit(0), 0u);
-  EXPECT_EQ(Read(kJobSlotBase + kJsStatus), kJsStatusFaulted);
+  EXPECT_EQ(Read(JobSlotRegister(0, kJsStatus)), kJsStatusFaulted);
 }
 
 TEST_F(GpuTest, JobIrqAckReturnsSlotToIdle) {
   Write(kRegJobIrqMask, 0xFFFFFFFF);
-  Write(kJobSlotBase + kJsHeadNextLo, 0x10000000);
-  Write(kJobSlotBase + kJsAffinityNextLo, sku_.shader_present);
-  Write(kJobSlotBase + kJsCommandNext, kJsCommandStart);
+  Write(JobSlotRegister(0, kJsHeadNextLo), 0x10000000);
+  Write(JobSlotRegister(0, kJsAffinityNextLo), sku_.shader_present);
+  Write(JobSlotRegister(0, kJsCommandNext), kJsCommandStart);
   tl_.Advance(kMillisecond);
   Write(kRegJobIrqClear, JobIrqFailBit(0) | JobIrqDoneBit(0));
-  EXPECT_EQ(Read(kJobSlotBase + kJsStatus), kJsStatusIdle);
+  EXPECT_EQ(Read(JobSlotRegister(0, kJsStatus)), kJsStatusIdle);
   EXPECT_EQ(Read(kRegJobIrqRawstat), 0u);
 }
 
@@ -178,9 +178,9 @@ TEST_F(GpuTest, NondeterministicRegisterClassification) {
 TEST_F(GpuTest, RegisterNamesAreStable) {
   EXPECT_STREQ(RegisterName(kRegGpuId), "GPU_ID");
   EXPECT_STREQ(RegisterName(kRegLatestFlush), "LATEST_FLUSH");
-  EXPECT_STREQ(RegisterName(kJobSlotBase + kJsCommandNext),
+  EXPECT_STREQ(RegisterName(JobSlotRegister(0, kJsCommandNext)),
                "JS0_COMMAND_NEXT");
-  EXPECT_STREQ(RegisterName(kAsBase + kAsStride + kAsStatus), "AS1_STATUS");
+  EXPECT_STREQ(RegisterName(AsRegister(1, kAsStatus)), "AS1_STATUS");
 }
 
 TEST_F(GpuTest, HardResetScrubsEverything) {

@@ -894,5 +894,59 @@ TEST(KernelGolden, PoolWindowExceedsInputFaultParity) {
   EXPECT_EQ(res[0].result.status.message(), "pool window exceeds input");
 }
 
+// Shapes whose operands span far past their one mapped page, at sizes no
+// host can allocate, or whose size_t float count wraps to a small number.
+// Each engine used to size a buffer from the shape first (the reference
+// engine's vectors, the optimized engine's arena) and throw
+// std::bad_alloc out of ExecuteChain, or, for a wrapped count, size and
+// walk a small buffer that the kernel then overran. Both now walk every
+// operand, inputs then output, at its true size (saturated past the VA
+// space) before sizing anything, and report the translate fault at the
+// oversized operand's second page.
+TEST(KernelGolden, UnmappableOperandFaultParity) {
+  struct Case {
+    GpuOp op;
+    std::array<uint32_t, 8> params;
+    bool output_faults;  // else the first input does
+  };
+  const Case cases[] = {
+      // GEMM m = k = 2^30, n = 1: A is 2^60 floats.
+      {GpuOp::kGemm, {1u << 30, 1u << 30, 1, 0, 0, 0, 0, 0}, false},
+      // conv2d over one 2^23 x 2^23 channel: 2^46 input floats.
+      {GpuOp::kConv2d, {1, 1u << 23, 1u << 23, 1, 1, 1, 1, 0}, false},
+      // im2col of a one-float input padded by 2^22: ~2^46 output floats.
+      {GpuOp::kIm2Col, {1, 1, 1, 1, 1, 1, 1u << 22, 0}, true},
+      // 1x1 max-pool over one 2^23 x 2^23 channel.
+      {GpuOp::kPoolMax, {1, 1u << 23, 1u << 23, 1, 1, 0, 0, 0}, false},
+      // Input float counts c * h * w = 2^16 * 2^24 * 2^24 that wrap to 0.
+      {GpuOp::kPoolMax, {1u << 16, 1u << 24, 1u << 24, 1, 1, 0, 0, 0}, false},
+      {GpuOp::kConv2d, {1u << 16, 1u << 24, 1u << 24, 1, 1, 1, 1, 0}, false},
+      // A one-float input under a 2^16 x 2^16 window padded to 2^32 - 1:
+      // the output count kh * kw * oh * ow wraps to 0.
+      {GpuOp::kIm2Col, {1, 1, 1, 1u << 16, 1u << 16, 1, 0x7FFFFFFFu, 0}, true},
+  };
+  for (const Case& c : cases) {
+    // Every fresh rig maps the same VAs, so both engines see these.
+    uint64_t in_va = 0;
+    uint64_t out_va = 0;
+    const auto res = ExpectEngineParity([&](Rig& rig) -> Prepared {
+      in_va = rig.Map(1, {true, false, false});
+      uint64_t wt = rig.Map(1, {true, false, false});
+      out_va = rig.Map(1, {true, true, false});
+      JobDescriptor d;
+      d.op = c.op;
+      d.input_va[0] = in_va;
+      d.aux_va = wt;
+      d.output_va = out_va;
+      d.params = c.params;
+      return {rig.InstallJob(d), 0, 0};
+    });
+    EXPECT_TRUE(res[0].result.is_mmu_fault);
+    EXPECT_EQ(res[0].result.mmu_fault.status, kFaultTranslation);
+    EXPECT_EQ(res[0].result.mmu_fault.address,
+              (c.output_faults ? out_va : in_va) + kPageSize);
+  }
+}
+
 }  // namespace
 }  // namespace grt

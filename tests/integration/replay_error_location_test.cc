@@ -24,7 +24,7 @@ constexpr SkuId kSku = SkuId::kMaliG71Mp8;
 constexpr uint64_t kNondetSeed = 11;
 constexpr uint64_t kInputSeed = 42;
 constexpr uint64_t kParamSeed = 7;
-constexpr uint32_t kJs0Status = kJobSlotBase + kJsStatus;
+constexpr uint32_t kJs0Status = JobSlotRegister(0, kJsStatus);
 
 enum class Engine { kInterp, kPlan, kFused };
 

@@ -134,12 +134,12 @@ TEST(LogDiff, DelayAndIrqDeviationsAreValueMismatches) {
   delay.delay = 100;
   LogEntry irq;
   irq.op = LogOp::kIrqWait;
-  irq.irq_lines = 0x1;
+  irq.irq_lines = kIrqLineJob;
   InteractionLog expected, observed;
   expected.Add(delay);
   expected.Add(irq);
   delay.delay = 400;  // e.g. a coalesced-delay run folded into one entry
-  irq.irq_lines = 0x2;
+  irq.irq_lines = kIrqLineGpu;
   observed.Add(delay);
   observed.Add(irq);
   LogDiff diff = CompareInteractionLogs(expected, observed);
@@ -207,7 +207,7 @@ TEST(LogDiff, RemoteDebuggingLocalizesInjectedFault) {
   ASSERT_TRUE(healthy.ok()) << healthy.status().ToString();
   EXPECT_TRUE(CompareInteractionLogs(recording->log, *healthy).identical);
 
-  device.gpu().InjectRegisterFault(kJobSlotBase + kJsStatus, 0x2);
+  device.gpu().InjectRegisterFault(JobSlotRegister(0, kJsStatus), 0x2);
   auto faulty = observe();
   device.gpu().ClearRegisterFault();
   ASSERT_TRUE(faulty.ok());

@@ -73,7 +73,7 @@ LogEntry RandomEntry(Rng* rng, const GpuSku& sku) {
     }
     case 5: {  // interrupt wait on known lines
       e.op = LogOp::kIrqWait;
-      e.irq_lines = static_cast<uint8_t>(1 + rng->NextBelow(7));
+      e.irq_lines = static_cast<uint8_t>(1 + rng->NextBelow(kIrqLinesAll));
       break;
     }
     default: {  // page image: aligned, exactly one page of random bytes

@@ -30,7 +30,7 @@ LogEntry PageEntry(uint64_t pa, uint8_t fill, bool metastate = false) {
 LogEntry JobStartEntry() {
   LogEntry e;
   e.op = LogOp::kRegWrite;
-  e.reg = kJobSlotBase + kJsCommandNext;
+  e.reg = JobSlotRegister(0, kJsCommandNext);
   e.value = kJsCommandStart;
   return e;
 }
@@ -124,7 +124,7 @@ TEST(PlanCompile, UncoalescedLoweringKeepsEverySnapshotInLogOrder) {
 TEST(PlanCompile, RegReadVerifyDecisionResolvedAtCompileTime) {
   LogEntry det;
   det.op = LogOp::kRegRead;
-  det.reg = kJobSlotBase + kJsStatus;
+  det.reg = JobSlotRegister(0, kJsStatus);
   det.value = 0;
   LogEntry nondet;
   nondet.op = LogOp::kRegRead;
@@ -210,13 +210,13 @@ TEST(IncompleteBinding, ReplayAndReadbackFailOnEveryEngine) {
 TEST(PlanCompile, JobStartPredicateShape) {
   EXPECT_TRUE(IsReplayJobStart(JobStartEntry()));
   LogEntry second_slot = JobStartEntry();
-  second_slot.reg = kJobSlotBase + kJobSlotStride + kJsCommandNext;
+  second_slot.reg = JobSlotRegister(1, kJsCommandNext);
   EXPECT_TRUE(IsReplayJobStart(second_slot));
   LogEntry wrong_value = JobStartEntry();
   wrong_value.value = kJsCommandNop;
   EXPECT_FALSE(IsReplayJobStart(wrong_value));
   LogEntry wrong_reg = JobStartEntry();
-  wrong_reg.reg = kJobSlotBase + kJsStatus;
+  wrong_reg.reg = JobSlotRegister(0, kJsStatus);
   EXPECT_FALSE(IsReplayJobStart(wrong_reg));
   LogEntry read = JobStartEntry();
   read.op = LogOp::kRegRead;

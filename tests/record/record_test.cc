@@ -37,7 +37,7 @@ LogEntry RandomEntry(Rng* rng) {
       break;
     case 4:
       e.op = LogOp::kIrqWait;
-      e.irq_lines = static_cast<uint8_t>(1 + rng->NextBelow(7));
+      e.irq_lines = static_cast<uint8_t>(1 + rng->NextBelow(kIrqLinesAll));
       break;
     default: {
       e.op = LogOp::kMemPage;
@@ -198,7 +198,7 @@ Recording SampleRecording() {
   rec.bindings["input"] = b;
   LogEntry e;
   e.op = LogOp::kRegWrite;
-  e.reg = kJobSlotBase + kJsCommandNext;
+  e.reg = JobSlotRegister(0, kJsCommandNext);
   e.value = 1;
   rec.log.Add(e);
   return rec;

@@ -71,7 +71,7 @@ TEST_F(ReplayerErrorsTest, IrqTimeoutExpiryIsTyped) {
   Recording rec = MinimalRecording("irq-expire");
   LogEntry irq;
   irq.op = LogOp::kIrqWait;
-  irq.irq_lines = 1;  // job irq
+  irq.irq_lines = kIrqLineJob;
   rec.log.Add(std::move(irq));
 
   ReplayConfig config;

@@ -32,7 +32,7 @@ TEST(ContinuousValidation, CloudCpuSealedWhileGpuBusy) {
   // IRQ mask rides in the same batch so the fault interrupt can fire.)
   shim.EnterHotFunction("fn");
   shim.WriteReg(kRegJobIrqMask, RegValue(0xFFFFFFFF), "init:mask");
-  shim.WriteReg(kJobSlotBase + kJsCommandNext, RegValue(kJsCommandStart),
+  shim.WriteReg(JobSlotRegister(0, kJsCommandNext), RegValue(kJsCommandStart),
                 "job:start");
   shim.LeaveHotFunction();
 
@@ -68,18 +68,18 @@ TEST(ContinuousValidation, SpuriousClientGpuAccessTrapped) {
   w(kRegJobIrqMask, 0xFFFFFFFF);
   // Point the address space at the carveout so the rogue job's descriptor
   // fetch actually reaches the (policy-guarded) shared memory.
-  w(kAsBase + kAsTranstabLo, static_cast<uint32_t>(kCarveoutBase));
-  w(kAsBase + kAsCommand, kAsCommandUpdate);
+  w(AsRegister(0, kAsTranstabLo), static_cast<uint32_t>(kCarveoutBase));
+  w(AsRegister(0, kAsCommand), kAsCommandUpdate);
   device.timeline().Advance(kMillisecond);
-  w(kJobSlotBase + kJsHeadNextLo, 0x10000000);
-  w(kJobSlotBase + kJsAffinityNextLo, 0xFF);
-  w(kJobSlotBase + kJsCommandNext, kJsCommandStart);
+  w(JobSlotRegister(0, kJsHeadNextLo), 0x10000000);
+  w(JobSlotRegister(0, kJsAffinityNextLo), 0xFF);
+  w(JobSlotRegister(0, kJsCommandNext), kJsCommandStart);
   device.timeline().Advance(kMillisecond);
 
   // The descriptor fetch was trapped: job failed, access counted.
   EXPECT_GT(shim.spurious_gpu_traps(), 0u);
   EXPECT_EQ(device.gpu()
-                .ReadRegister(kJobSlotBase + kJsStatus)
+                .ReadRegister(JobSlotRegister(0, kJsStatus))
                 .value(),
             kJsStatusFaulted);
   shim.EndSession();

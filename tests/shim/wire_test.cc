@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "src/hw/regs.h"
 #include "src/shim/wire.h"
 
 namespace grt {
@@ -152,11 +153,11 @@ TEST(Wire, PollMessagesRoundTrip) {
 
 TEST(Wire, IrqEventRoundTrip) {
   IrqEventMsg ev;
-  ev.lines = 0b101;
+  ev.lines = kIrqLineJob | kIrqLineMmu;
   ev.mem_dump = {1, 2, 3, 4};
   auto parsed = IrqEventMsg::Deserialize(ev.Serialize());
   ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->lines, 0b101);
+  EXPECT_EQ(parsed->lines, kIrqLineJob | kIrqLineMmu);
   EXPECT_EQ(parsed->mem_dump, ev.mem_dump);
 }
 
