@@ -2,8 +2,8 @@
 // fast path (src/record/plan) and the multi-session serving engine
 // (src/serve).
 //
-// Five sections, all written to BENCH_replay_serving.json so future PRs
-// can diff against this baseline:
+// Five sections, all written to the JSON file so later changes can diff
+// against this baseline:
 //
 //   1. Engine comparison — per example network, interpreter vs compiled
 //      plan vs superoptimized (fused) plan, cold and warm, on the modeled
@@ -18,7 +18,11 @@
 //      scratch, blocked kernels) vs the pinned reference engine in host
 //      wall-clock on the fused warm path — gated >= 2x on vgg16 and
 //      >= 1.5x everywhere, with bitwise-identical outputs and an
-//      engine-invariant modeled delay.
+//      engine-invariant modeled delay. After the gated runs, one more
+//      optimized pass per network with metrics on splits the fused warm
+//      replay's wall clock by op kind (gemm, conv2d, im2col, fill,
+//      bias_relu, pool, other) from the hw.op_ns histograms; that table
+//      is printed and written as kernel_op_breakdown, never gated.
 //   2. Serving — a ReplayService with 1/2/4 workers, each a full
 //      simulated device with its own virtual timeline. Two results: the
 //      cold-vs-warm service-time speedup (a cold request pays recording
@@ -50,7 +54,10 @@
 //      Runs on mnist, squeezenet and resnet12.
 //
 // `--smoke` runs sections 1 and 5 on MNIST only and exits nonzero if a
-// gate fails — scripts/ci.sh uses it as the perf regression gate.
+// gate fails — scripts/ci.sh uses it as the perf regression gate. The
+// full mode writes BENCH_replay_serving.json into the current directory
+// unless given `--out`; --smoke writes JSON only to an `--out` path, so a
+// smoke run never replaces the committed full-mode file.
 //
 // `--perf-gate` runs section 1 on vgg16 only and enforces the headline
 // fused-warm >= 1.5x gate — scripts/ci.sh runs it as the planopt perf
@@ -65,7 +72,9 @@
 #include <cstdio>
 #include <cstring>
 #include <future>
+#include <iterator>
 #include <map>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -343,11 +352,52 @@ struct KernelEngineRun {
   std::vector<float> output;
 };
 
+// The op kinds of the per-op breakdown, and the hw.op_ns histogram each
+// GpuOp's job time is recorded in (ExecuteJob, with metrics on).
+constexpr const char* kBreakdownOps[] = {
+    "gemm", "conv2d", "im2col", "fill", "bias_relu", "pool", "other"};
+constexpr size_t kBreakdownOpCount = std::size(kBreakdownOps);
+constexpr struct {
+  const char* histogram;
+  size_t op;  // index into kBreakdownOps
+} kOpHistograms[] = {
+    {"hw.op_ns.gemm", 0},      {"hw.op_ns.conv2d", 1},
+    {"hw.op_ns.im2col", 2},    {"hw.op_ns.fill", 3},
+    {"hw.op_ns.bias_relu", 4}, {"hw.op_ns.pool_max", 5},
+    {"hw.op_ns.pool_avg", 5},  {"hw.op_ns.eltwise_add", 6},
+    {"hw.op_ns.softmax", 6},   {"hw.op_ns.copy", 6},
+    {"hw.op_ns.nop", 6}};
+
+// Host wall time per op kind of the optimized fused warm replay, taken
+// with metrics on after the gated runs from the fastest of
+// kKernelWallReps replays, as the gate takes its minimum. Printed and
+// written to JSON, never gated.
+struct KernelOpRow {
+  std::string workload;
+  double replay_ms = 0;
+  double op_ms[kBreakdownOpCount] = {};
+
+  double share(size_t op) const {
+    return replay_ms == 0 ? 0.0 : op_ms[op] / replay_ms;
+  }
+};
+
+// Metrics on for the guard's lifetime.
+struct MetricsOn {
+  MetricsOn() { obs::SetEnabled(true); }
+  ~MetricsOn() { obs::SetEnabled(false); }
+  MetricsOn(const MetricsOn&) = delete;
+  MetricsOn& operator=(const MetricsOn&) = delete;
+};
+
 // Fused warm replay under the given kernel engine: one cold replay to arm
 // the warm program, then kKernelWallReps warm replays keeping the
-// minimum host wall time (full replay and shader-exec alone).
+// minimum host wall time (full replay and shader-exec alone). With
+// `ops`, the warm replays run with metrics on, and the hw.op_ns
+// histograms of the fastest one fill in the per-op breakdown.
 Result<KernelEngineRun> RunFusedWarmWall(const RecordedNet& r,
-                                         KernelEngine engine) {
+                                         KernelEngine engine,
+                                         KernelOpRow* ops = nullptr) {
   ClientDevice device(kSku, kNondetSeed);
   device.gpu().SetKernelEngine(engine);
   ReplayConfig config;
@@ -373,9 +423,19 @@ Result<KernelEngineRun> RunFusedWarmWall(const RecordedNet& r,
     }
   }
   GRT_RETURN_IF_ERROR(replayer.Replay().status());  // cold; arms warm path
+  std::optional<MetricsOn> metrics;
+  if (ops != nullptr) {
+    metrics.emplace();
+  }
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   KernelEngineRun run;
   for (int i = 0; i < kKernelWallReps; ++i) {
     GRT_RETURN_IF_ERROR(replayer.StageTensor(r.net.input_tensor, input));
+    if (ops != nullptr) {
+      for (const auto& h : kOpHistograms) {
+        registry.GetHistogram(h.histogram)->Reset();
+      }
+    }
     GRT_ASSIGN_OR_RETURN(ReplayReport warm, replayer.Replay());
     if (!warm.warm_program_used) {
       return Internal("kernel wall bench: " + r.net.name +
@@ -383,6 +443,17 @@ Result<KernelEngineRun> RunFusedWarmWall(const RecordedNet& r,
     }
     if (i == 0 || warm.wall_ns < run.min_wall_ns) {
       run.min_wall_ns = warm.wall_ns;
+      if (ops != nullptr) {
+        *ops = KernelOpRow{r.net.name,
+                           static_cast<double>(warm.wall_ns) / 1e6};
+        for (const auto& h : kOpHistograms) {
+          ops->op_ms[h.op] += static_cast<double>(
+                                  registry.GetHistogram(h.histogram)
+                                      ->Snapshot()
+                                      .sum) /
+                              1e6;
+        }
+      }
     }
     if (i == 0 || warm.wall_shader_exec_ns < run.min_shader_wall_ns) {
       run.min_shader_wall_ns = warm.wall_shader_exec_ns;
@@ -410,6 +481,15 @@ Result<KernelRow> CompareKernelEngines(const RecordedNet& r) {
                        RunReference(r.net, GenerateInput(r.net, kInputSeed),
                                     kParamSeed));
   row.matches_reference = MaxAbsDiff(opt.output, reference) <= 1e-4f;
+  return row;
+}
+
+// The per-op breakdown pass: one more optimized run, after the gated
+// ones, so metrics never touch the gate's timing.
+Result<KernelOpRow> MeasureKernelOps(const RecordedNet& r) {
+  KernelOpRow row;
+  GRT_RETURN_IF_ERROR(
+      RunFusedWarmWall(r, KernelEngine::kOptimized, &row).status());
   return row;
 }
 
@@ -916,6 +996,7 @@ Result<MissLedgerRow> RunMissLedger(const RecordedNet& r) {
 void WriteJson(const std::string& path, bool smoke,
                const std::vector<EngineRow>& engines,
                const std::vector<KernelRow>& kernels,
+               const std::vector<KernelOpRow>& kernel_ops,
                const std::vector<ScalingRow>& scaling,
                const std::vector<SweepRow>& sweep,
                const std::vector<PoolRow>& pool,
@@ -988,6 +1069,20 @@ void WriteJson(const std::string& path, bool smoke,
         k.matches_reference ? "true" : "false",
         k.modeled_time_invariant ? "true" : "false",
         i + 1 < kernels.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n  \"kernel_op_breakdown\": [\n");
+  for (size_t i = 0; i < kernel_ops.size(); ++i) {
+    const KernelOpRow& k = kernel_ops[i];
+    for (size_t op = 0; op < kBreakdownOpCount; ++op) {
+      std::fprintf(
+          f,
+          "    {\"workload\": \"%s\", \"op\": \"%s\", "
+          "\"ms_per_replay\": %.4f, \"replay_ms\": %.4f, "
+          "\"share\": %.4f}%s\n",
+          k.workload.c_str(), kBreakdownOps[op], k.op_ms[op], k.replay_ms,
+          k.share(op),
+          i + 1 < kernel_ops.size() || op + 1 < kBreakdownOpCount ? "," : "");
+    }
   }
   std::fprintf(f, "  ],\n  \"stage_breakdown\": [\n");
   for (size_t i = 0; i < engines.size(); ++i) {
@@ -1247,6 +1342,7 @@ int Run(bool smoke, const std::string& out_path) {
                           "plan bytes", "gates"});
   std::vector<EngineRow> engines;
   std::vector<KernelRow> kernels;
+  std::vector<KernelOpRow> kernel_ops;
   std::vector<MissLedgerRow> ledger;
   bool gates_ok = true;
   RecordedNet mnist{};  // kept for sections 2 and 3
@@ -1274,6 +1370,13 @@ int Run(bool smoke, const std::string& out_path) {
       gates_ok = false;
     }
     kernels.push_back(*kernel_row);
+    auto op_row = MeasureKernelOps(*recorded);
+    if (!op_row.ok()) {
+      std::fprintf(stderr, "%s: kernel op breakdown failed: %s\n",
+                   net.name.c_str(), op_row.status().ToString().c_str());
+      return 1;
+    }
+    kernel_ops.push_back(*op_row);
     auto row = CompareEngines(*recorded);
     if (!row.ok()) {
       std::fprintf(stderr, "%s: engine comparison failed: %s\n",
@@ -1360,6 +1463,27 @@ int Run(bool smoke, const std::string& out_path) {
   std::printf("\nKernel engine: fused warm replay wall clock, reference vs "
               "optimized kernels (min of %d)\n\n", kKernelWallReps);
   kernel_table.Print();
+
+  // Where the optimized kernels' time goes: each op kind's share of the
+  // fused warm replay wall clock, from the hw.op_ns histograms of a pass
+  // run after the gated ones. Never gated.
+  std::vector<std::string> op_header = {"workload", "replay"};
+  for (const char* op : kBreakdownOps) {
+    op_header.push_back(op);
+  }
+  TextTable op_table(op_header);
+  for (const KernelOpRow& k : kernel_ops) {
+    std::vector<std::string> cells = {k.workload, FormatMs(k.replay_ms)};
+    for (size_t op = 0; op < kBreakdownOpCount; ++op) {
+      cells.push_back(FormatMs(k.op_ms[op]) + " (" +
+                      FormatPercent(k.share(op)) + ")");
+    }
+    op_table.AddRow(cells);
+  }
+  std::printf("\nKernel ops: host wall per op kind and its share of the "
+              "optimized fused warm replay (fastest of %d, metrics on)\n\n",
+              kKernelWallReps);
+  op_table.Print();
 
   // Section 5: where a plan-cache miss's host time goes, step by step,
   // and what a served miss on a current workload binding still pays.
@@ -1520,8 +1644,10 @@ int Run(bool smoke, const std::string& out_path) {
     pool_table.Print();
   }
 
-  WriteJson(out_path, smoke, engines, kernels, scaling, sweep, pool, ledger,
-            gates_ok);
+  if (!out_path.empty()) {
+    WriteJson(out_path, smoke, engines, kernels, kernel_ops, scaling, sweep,
+              pool, ledger, gates_ok);
+  }
   return gates_ok ? 0 : 1;
 }
 
@@ -1532,7 +1658,7 @@ int main(int argc, char** argv) {
   bool smoke = false;
   bool obs_gate = false;
   bool perf_gate = false;
-  std::string out = "BENCH_replay_serving.json";
+  std::string out;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
@@ -1552,5 +1678,8 @@ int main(int argc, char** argv) {
   }
   if (obs_gate) return grt::RunObsGate();
   if (perf_gate) return grt::RunPerfGate();
+  if (out.empty() && !smoke) {
+    out = "BENCH_replay_serving.json";
+  }
   return grt::Run(smoke, out);
 }

@@ -118,7 +118,81 @@ Result<const float*> GpuDma::MapReadF32(const SpanF32& span,
   // Gather fallback: page-crossing discontiguous or unaligned tensors (or
   // forced copies for aliased operands). ResolveF32 primed the TLB.
   float* buf = arena->AllocF32(span.n);
-  auto* dst = reinterpret_cast<uint8_t*>(buf);
+  GRT_RETURN_IF_ERROR(CopyOut(va, reinterpret_cast<uint8_t*>(buf), len));
+  bytes_moved_ += len;
+  return static_cast<const float*>(buf);
+}
+
+Result<const float* const*> GpuDma::MapReadRowsF32(const SpanF32& span,
+                                                   size_t rows,
+                                                   ScratchArena* arena) {
+  const float** table = arena->AllocRowTable(rows);
+  const uint64_t len = static_cast<uint64_t>(span.n) * sizeof(float);
+  if (rows == 0 || len == 0) {
+    std::fill(table, table + rows, nullptr);
+    return static_cast<const float* const*>(table);
+  }
+  const uint64_t row_bytes = len / rows;
+  // Every address of a span shares its first byte's offset modulo 4
+  // (pages are 4-byte aligned), so a misaligned span has no direct row.
+  const bool aligned = (span.first_pa & 3) == 0;
+  // Copied rows land at their own offset in a region reserved for the
+  // whole tensor; only the rows written there touch its pages.
+  float* spill = nullptr;
+  // The physically contiguous run [run_lo, run_hi) of span offsets that
+  // the last direct row came from, and its host view.
+  uint64_t run_lo = 0;
+  uint64_t run_hi = 0;
+  const uint8_t* run_view = nullptr;
+  if (aligned && span.contiguous) {
+    GRT_ASSIGN_OR_RETURN(
+        run_view, mem_->ReadView(span.first_pa, len, MemAccessOrigin::kGpu));
+    run_hi = len;
+  }
+  for (size_t r = 0; r < rows; ++r) {
+    const uint64_t lo = r * row_bytes;
+    const uint64_t hi = lo + row_bytes;
+    if (aligned && lo >= run_hi) {
+      // Open a run at this row and extend it page by page for as long as
+      // the physical pages follow on. ResolveF32 primed the TLB.
+      auto t = walker_->Translate(root_pa_, span.va + lo, tlb_, &fault_);
+      if (!t.ok()) {
+        return t.status();
+      }
+      const uint64_t run_pa = t.value().pa;
+      uint64_t end = ((span.va + lo) & ~kPageMask) + kPageSize - span.va;
+      while (end < len) {
+        auto next = walker_->Translate(root_pa_, span.va + end, tlb_, &fault_);
+        if (!next.ok()) {
+          return next.status();
+        }
+        if (next.value().pa != run_pa + (end - lo)) {
+          break;
+        }
+        end += kPageSize;
+      }
+      run_lo = lo;
+      run_hi = std::min(end, len);
+      GRT_ASSIGN_OR_RETURN(
+          run_view,
+          mem_->ReadView(run_pa, run_hi - run_lo, MemAccessOrigin::kGpu));
+    }
+    if (aligned && hi <= run_hi) {
+      table[r] = reinterpret_cast<const float*>(run_view + (lo - run_lo));
+      continue;
+    }
+    if (spill == nullptr) {
+      spill = arena->AllocF32(span.n);
+    }
+    auto* dst = reinterpret_cast<uint8_t*>(spill) + lo;
+    GRT_RETURN_IF_ERROR(CopyOut(span.va + lo, dst, row_bytes));
+    table[r] = reinterpret_cast<const float*>(dst);
+  }
+  bytes_moved_ += len;
+  return static_cast<const float* const*>(table);
+}
+
+Status GpuDma::CopyOut(uint64_t va, uint8_t* dst, uint64_t len) {
   uint64_t done = 0;
   while (done < len) {
     uint64_t cur_va = va + done;
@@ -132,8 +206,7 @@ Result<const float*> GpuDma::MapReadF32(const SpanF32& span,
         mem_->Read(t.value().pa, dst + done, chunk, MemAccessOrigin::kGpu));
     done += chunk;
   }
-  bytes_moved_ += len;
-  return static_cast<const float*>(buf);
+  return OkStatus();
 }
 
 Result<GpuDma::WriteSpanF32> GpuDma::MapWriteF32(const SpanF32& span,
@@ -557,18 +630,24 @@ Status ShaderCoreExecutor::ExecuteJobOptimized(const JobDescriptor& d,
       const size_t an = static_cast<size_t>(m) * k;
       const size_t bn = static_cast<size_t>(k) * n;
       const size_t cn = static_cast<size_t>(m) * n;
+      const size_t pack_n = kern::GemmPackFloats(k, n);
       GRT_ASSIGN_OR_RETURN(
           JobOperands ops,
           ResolveOperands(dma, {{d.input_va[0], an}, {d.aux_va, bn}},
                           {d.output_va, cn}));
-      arena_.BeginJob(an + bn + cn + 64);
+      // A and B are read in place row by row; B is packed into panels.
+      arena_.BeginJob(ScratchArena::RowTableFloats(m) + an +
+                      ScratchArena::RowTableFloats(k) + bn + cn + pack_n +
+                      6 * 16);
       const bool clash = RangesOverlap(d.output_va, cn, d.input_va[0], an) ||
                          RangesOverlap(d.output_va, cn, d.aux_va, bn);
-      GRT_ASSIGN_OR_RETURN(const float* a, dma->MapReadF32(ops.in[0], &arena_));
-      GRT_ASSIGN_OR_RETURN(const float* b, dma->MapReadF32(ops.in[1], &arena_));
+      GRT_ASSIGN_OR_RETURN(const float* const* a,
+                           dma->MapReadRowsF32(ops.in[0], m, &arena_));
+      GRT_ASSIGN_OR_RETURN(const float* const* b,
+                           dma->MapReadRowsF32(ops.in[1], k, &arena_));
       GRT_ASSIGN_OR_RETURN(GpuDma::WriteSpanF32 c,
                            dma->MapWriteF32(ops.out, &arena_, clash));
-      kern::GemmOpt(a, b, c.data, m, k, n,
+      kern::GemmOpt(a, b, arena_.AllocF32(pack_n), c.data, m, k, n,
                     (d.flags & kJobFlagReluFused) != 0);
       *macs += static_cast<uint64_t>(m) * k * n;
       return dma->CommitWriteF32(c);
@@ -622,14 +701,16 @@ Status ShaderCoreExecutor::ExecuteJobOptimized(const JobDescriptor& d,
           JobOperands ops,
           ResolveOperands(dma, {{d.input_va[0], in_n}, {d.aux_va, wt_n}},
                           {d.output_va, out_n}));
-      arena_.BeginJob(in_n + wt_n + out_n + pack_n + 64);
+      // The weights are read in place, one output channel's row at a time.
+      arena_.BeginJob(in_n + ScratchArena::RowTableFloats(cout) + wt_n +
+                      out_n + pack_n + 5 * 16);
       const bool clash =
           RangesOverlap(d.output_va, out_n, d.input_va[0], in_n) ||
           RangesOverlap(d.output_va, out_n, d.aux_va, wt_n);
       GRT_ASSIGN_OR_RETURN(const float* in,
                            dma->MapReadF32(ops.in[0], &arena_));
-      GRT_ASSIGN_OR_RETURN(const float* wts,
-                           dma->MapReadF32(ops.in[1], &arena_));
+      GRT_ASSIGN_OR_RETURN(const float* const* wts,
+                           dma->MapReadRowsF32(ops.in[1], cout, &arena_));
       GRT_ASSIGN_OR_RETURN(GpuDma::WriteSpanF32 out,
                            dma->MapWriteF32(ops.out, &arena_, clash));
       kern::Conv2dOpt(in, wts, arena_.AllocF32(pack_n), out.data, cin, h, w,

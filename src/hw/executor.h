@@ -13,8 +13,9 @@
 // Two kernel engines share that contract (kernels.h):
 //   * kOptimized (default) maps tensors as zero-copy views into
 //     PhysicalMemory when their pages are physically contiguous (gather/
-//     scatter through a per-device scratch arena otherwise) and runs the
-//     blocked lane-parallel kernels;
+//     scatter through a per-device scratch arena otherwise), reads the
+//     GEMM operands and the conv weights in place row by row, and runs
+//     the blocked lane-parallel kernels;
 //   * kReference replays the pre-rewrite data path — full-tensor DMA
 //     copies through fresh vectors and the pinned scalar kernels — as the
 //     golden baseline for bitwise equality and wall-clock speedup gates.
@@ -73,6 +74,19 @@ class GpuDma {
   Result<const float*> MapReadF32(const SpanF32& span, ScratchArena* arena,
                                   bool force_copy = false);
 
+  // A read-resolved span addressed as `rows` rows of span.n / rows floats
+  // (span.n must be a multiple of rows): an arena-resident table of row
+  // pointers. A row inside one physically contiguous, 4-byte-aligned run
+  // of pages is a direct view into physical memory; only a row that
+  // straddles a physical break, or every row of a misaligned span, is
+  // copied into arena scratch. The mapping needs RowTableFloats(rows) plus
+  // span.n floats of arena (the copy region is reserved whole and only
+  // the copied rows are written) and accounts the span's full length once,
+  // like MapReadF32.
+  Result<const float* const*> MapReadRowsF32(const SpanF32& span,
+                                             size_t rows,
+                                             ScratchArena* arena);
+
   // A mapped output tensor. `data` is where the kernel writes; direct
   // spans point straight into physical memory, buffered spans into arena
   // scratch that CommitWriteF32 scatters out.
@@ -107,6 +121,10 @@ class GpuDma {
   uint64_t bytes_moved() const { return bytes_moved_; }
 
  private:
+  // Copies [va, va + len) out page by page, without accounting; the pages
+  // were validated by ResolveF32.
+  Status CopyOut(uint64_t va, uint8_t* dst, uint64_t len);
+
   const MmuWalker* walker_;
   PhysicalMemory* mem_;
   GpuTlb* tlb_;

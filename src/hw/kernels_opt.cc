@@ -15,19 +15,37 @@ namespace kern {
 
 namespace {
 
-// Register-tile sizes for GEMM: a 4x8 accumulator block fits comfortably
-// in registers and gives four independent dependency chains per vector
-// lane (the serial FP-add latency chain is the reference's bottleneck).
-constexpr uint32_t kGemmRows = 4;
-constexpr uint32_t kGemmCols = 8;
-// Independent output lanes for n==1 GEMM (fully-connected layers) and
-// pool.
-constexpr uint32_t kLanes = 8;
+// Four float lanes. GCC/Clang vector extensions, no ISA intrinsics: the
+// baseline x86-64 build lowers them to SSE, -march=native builds to
+// whatever the host has, and the arithmetic is the same IEEE single
+// precision either way.
+typedef float F4 __attribute__((vector_size(16)));
+typedef int32_t I4 __attribute__((vector_size(16)));
+
+F4 Load4(const float* p) {
+  F4 v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+void Store4(float* p, F4 v) { std::memcpy(p, &v, sizeof(v)); }
+
+F4 Splat(float v) { return F4{v, v, v, v}; }
+
+// GEMM register tile: kTileRows rows of A against one B panel of
+// kPanelCols columns, the accumulators two F4 per row. kTileRows divides
+// every channel count the networks use, so their tiles have no row tail.
+constexpr uint32_t kTileRows = 4;
+constexpr uint32_t kPanelCols = 8;
+// Rows of A per GEMV block: four F4 lanes of accumulators.
+constexpr uint32_t kGemvRows = 16;
 // Direct-conv register tile: kConvPix output pixels x kConvCo output
 // channels. The vector lanes run across output channels, so every lane of
 // a pixel row shares that pixel's tap bounds.
 constexpr uint32_t kConvPix = 4;
 constexpr uint32_t kConvCo = 8;
+// Pool output-pixel lanes.
+constexpr uint32_t kLanes = 8;
 // Weight repack transpose block (one cache line of floats each way).
 constexpr uint32_t kPackBlock = 16;
 
@@ -36,9 +54,10 @@ uint32_t ConvPaddedCout(uint32_t cout) {
 }
 
 // [co][ci][ki][kj] -> [ci][ki][kj][co], co zero-padded to a multiple of
-// kConvCo. Transposed in kPackBlock-square blocks, so both the source
-// rows and the destination rows are walked a cache line at a time.
-void PackConvWeights(const float* wts, float* packed, uint32_t cin,
+// kConvCo; wrows[co] is output channel co's [ci][ki][kj] row. Transposed
+// in kPackBlock-square blocks, so both the source rows and the
+// destination rows are walked a cache line at a time.
+void PackConvWeights(const float* const* wrows, float* packed, uint32_t cin,
                      uint32_t cout, uint32_t kh, uint32_t kw) {
   const uint32_t coutp = ConvPaddedCout(cout);
   const size_t taps = static_cast<size_t>(cin) * kh * kw;
@@ -47,7 +66,7 @@ void PackConvWeights(const float* wts, float* packed, uint32_t cin,
     for (uint32_t co0 = 0; co0 < cout; co0 += kPackBlock) {
       const uint32_t nc = std::min(kPackBlock, cout - co0);
       for (uint32_t c = 0; c < nc; ++c) {
-        const float* src = wts + (co0 + c) * taps + t0;
+        const float* src = wrows[co0 + c] + t0;
         float* dst = packed + t0 * coutp + co0 + c;
         for (size_t t = 0; t < nt; ++t) {
           dst[t * coutp] = src[t];
@@ -93,111 +112,202 @@ ConvPixelTaps PixelTaps(uint32_t oi, uint32_t oj, uint32_t h, uint32_t w,
   return t;
 }
 
-// n == 1 (fully-connected) GEMM: one dot product per output row. The
-// reference's chain is serial per row; running kLanes rows side by side
-// turns latency-bound accumulation into throughput-bound accumulation.
-// The av==0 skip is per (row, kk), so each lane keeps its own predicate —
-// the guarded add is exactly the reference's "skip the += when av == 0"
-// (never rewritten as "+= 0", which would flip -0.0 sums to +0.0).
-void GemmOptN1(const float* a, const float* b, float* c, uint32_t m,
-               uint32_t k, bool relu) {
-  uint32_t i0 = 0;
-  for (; i0 + kLanes <= m; i0 += kLanes) {
-    float acc[kLanes] = {};
-    const float* arow = a + static_cast<size_t>(i0) * k;
+// One step of a GEMM output chain in each lane: acc + a * b. With
+// kSkipZeros the product of a lane whose a is 0 is replaced by -0.0f, and
+// x + (-0.0f) == x for every x, so the step is bit for bit the
+// reference's "skip the += when av == 0" without a branch. A lane whose a
+// is NaN keeps its product, as the reference does (NaN == 0 is false).
+template <bool kSkipZeros>
+F4 MulAdd(F4 acc, F4 a, F4 b) {
+  F4 prod = a * b;
+  if constexpr (kSkipZeros) {
+    const I4 neg_zero = {INT32_MIN, INT32_MIN, INT32_MIN, INT32_MIN};
+    const I4 keep = a != F4{};
+    prod = reinterpret_cast<F4>((reinterpret_cast<I4>(prod) & keep) |
+                                (neg_zero & ~keep));
+  }
+  return acc + prod;
+}
+
+uint32_t GemmPanels(uint32_t n) { return (n + kPanelCols - 1) / kPanelCols; }
+
+float Relu(float v, bool relu) { return relu ? std::max(0.0f, v) : v; }
+
+// True when any of the n floats is an Inf or a NaN (all exponent bits set).
+bool AnyNonFinite(const float* v, size_t n) {
+  constexpr int32_t kExp = 0x7f800000;
+  const I4 exp = {kExp, kExp, kExp, kExp};
+  I4 bad = {};
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    I4 bits;
+    std::memcpy(&bits, v + i, sizeof(bits));
+    bad |= (bits & exp) == exp;
+  }
+  for (; i < n; ++i) {
+    int32_t bits;
+    std::memcpy(&bits, v + i, sizeof(bits));
+    bad[0] |= (bits & kExp) == kExp;
+  }
+  return (bad[0] | bad[1] | bad[2] | bad[3]) != 0;
+}
+
+// B[k][n] -> panels of kPanelCols columns, each [k][kPanelCols], the last
+// one zero-padded; n == 1 packs B into one contiguous [k] vector.
+void PackGemmB(const float* const* b_rows, float* pack, uint32_t k,
+               uint32_t n) {
+  if (n == 1) {
     for (uint32_t kk = 0; kk < k; ++kk) {
-      const float bv = b[kk];
-      for (uint32_t r = 0; r < kLanes; ++r) {
-        const float av = arow[static_cast<size_t>(r) * k + kk];
-        if (av != 0.0f) {
-          acc[r] += av * bv;
+      pack[kk] = b_rows[kk][0];
+    }
+    return;
+  }
+  const size_t panel_floats = static_cast<size_t>(k) * kPanelCols;
+  for (uint32_t kk = 0; kk < k; ++kk) {
+    const float* brow = b_rows[kk];
+    float* dst = pack + static_cast<size_t>(kk) * kPanelCols;
+    uint32_t j0 = 0;
+    for (; j0 + kPanelCols <= n; j0 += kPanelCols, dst += panel_floats) {
+      Store4(dst, Load4(brow + j0));
+      Store4(dst + 4, Load4(brow + j0 + 4));
+    }
+    if (j0 < n) {
+      std::memcpy(dst, brow + j0, (n - j0) * sizeof(float));
+      std::fill(dst + (n - j0), dst + kPanelCols, 0.0f);
+    }
+  }
+}
+
+// n >= 2: every kTileRows x kPanelCols tile of C, each output's chain the
+// reference's (+0.0f, kk ascending, the (i,kk) zero skip, relu at the
+// store). A tail block repeats its last row and the last panel's padded
+// columns are zeros: both are computed and never stored.
+template <bool kSkipZeros>
+void GemmTiles(const float* const* a_rows, const float* bpack, float* c,
+               uint32_t m, uint32_t k, uint32_t n, bool relu) {
+  const uint32_t panels = GemmPanels(n);
+  for (uint32_t i0 = 0; i0 < m; i0 += kTileRows) {
+    const uint32_t rows = std::min(kTileRows, m - i0);
+    const float* a[kTileRows];
+    for (uint32_t r = 0; r < kTileRows; ++r) {
+      a[r] = a_rows[i0 + std::min(r, rows - 1)];
+    }
+    for (uint32_t p = 0; p < panels; ++p) {
+      const float* bp = bpack + static_cast<size_t>(p) * k * kPanelCols;
+      F4 lo[kTileRows] = {};
+      F4 hi[kTileRows] = {};
+      for (uint32_t kk = 0; kk < k; ++kk) {
+        const F4 blo = Load4(bp + static_cast<size_t>(kk) * kPanelCols);
+        const F4 bhi = Load4(bp + static_cast<size_t>(kk) * kPanelCols + 4);
+        // Fully unrolled, so the accumulators stay in registers.
+#pragma GCC unroll 8
+        for (uint32_t r = 0; r < kTileRows; ++r) {
+          const F4 av = Splat(a[r][kk]);
+          lo[r] = MulAdd<kSkipZeros>(lo[r], av, blo);
+          hi[r] = MulAdd<kSkipZeros>(hi[r], av, bhi);
+        }
+      }
+      const uint32_t j0 = p * kPanelCols;
+      const uint32_t cols = std::min(kPanelCols, n - j0);
+      for (uint32_t r = 0; r < rows; ++r) {
+        float acc[kPanelCols];
+        std::memcpy(acc, &lo[r], sizeof(F4));
+        std::memcpy(acc + 4, &hi[r], sizeof(F4));
+        float* crow = c + static_cast<size_t>(i0 + r) * n + j0;
+        for (uint32_t jj = 0; jj < cols; ++jj) {
+          crow[jj] = Relu(acc[jj], relu);
         }
       }
     }
-    for (uint32_t r = 0; r < kLanes; ++r) {
-      c[i0 + r] = relu ? std::max(0.0f, acc[r]) : acc[r];
-    }
   }
-  for (; i0 < m; ++i0) {
-    float acc = 0.0f;
-    const float* arow = a + static_cast<size_t>(i0) * k;
-    for (uint32_t kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
-      if (av == 0.0f) {
-        continue;
-      }
-      acc += av * b[kk];
+}
+
+// Transposes four rows of four floats: t[j] holds element j of each row.
+void Transpose4(const F4 (&rows)[4], F4 (&t)[4]) {
+  const F4 lo01 = __builtin_shufflevector(rows[0], rows[1], 0, 4, 1, 5);
+  const F4 lo23 = __builtin_shufflevector(rows[2], rows[3], 0, 4, 1, 5);
+  const F4 hi01 = __builtin_shufflevector(rows[0], rows[1], 2, 6, 3, 7);
+  const F4 hi23 = __builtin_shufflevector(rows[2], rows[3], 2, 6, 3, 7);
+  t[0] = __builtin_shufflevector(lo01, lo23, 0, 1, 4, 5);
+  t[1] = __builtin_shufflevector(lo01, lo23, 2, 3, 6, 7);
+  t[2] = __builtin_shufflevector(hi01, hi23, 0, 1, 4, 5);
+  t[3] = __builtin_shufflevector(hi01, hi23, 2, 3, 6, 7);
+}
+
+// n == 1 (fully-connected layers): kGemvRows rows of A in vector lanes,
+// four kk at a time from 4x4-transposed loads, so each lane is one row's
+// chain in the reference's kk order. A tail block repeats its last row.
+template <bool kSkipZeros>
+void Gemv(const float* const* a_rows, const float* x, float* c, uint32_t m,
+          uint32_t k, bool relu) {
+  constexpr uint32_t kGroups = kGemvRows / 4;
+  for (uint32_t i0 = 0; i0 < m; i0 += kGemvRows) {
+    const uint32_t rows = std::min(kGemvRows, m - i0);
+    const float* a[kGemvRows];
+    for (uint32_t r = 0; r < kGemvRows; ++r) {
+      a[r] = a_rows[i0 + std::min(r, rows - 1)];
     }
-    c[i0] = relu ? std::max(0.0f, acc) : acc;
+    F4 acc[kGroups] = {};
+    uint32_t kk = 0;
+    for (; kk + 4 <= k; kk += 4) {
+      const F4 xv = Load4(x + kk);
+      const F4 xs[4] = {Splat(xv[0]), Splat(xv[1]), Splat(xv[2]),
+                        Splat(xv[3])};
+#pragma GCC unroll 8
+      for (uint32_t g = 0; g < kGroups; ++g) {
+        const F4 blk[4] = {Load4(a[4 * g] + kk), Load4(a[4 * g + 1] + kk),
+                           Load4(a[4 * g + 2] + kk), Load4(a[4 * g + 3] + kk)};
+        F4 t[4];
+        Transpose4(blk, t);
+#pragma GCC unroll 4
+        for (uint32_t j = 0; j < 4; ++j) {
+          acc[g] = MulAdd<kSkipZeros>(acc[g], t[j], xs[j]);
+        }
+      }
+    }
+    for (; kk < k; ++kk) {
+      const F4 xs = Splat(x[kk]);
+#pragma GCC unroll 8
+      for (uint32_t g = 0; g < kGroups; ++g) {
+        const F4 col = {a[4 * g][kk], a[4 * g + 1][kk], a[4 * g + 2][kk],
+                        a[4 * g + 3][kk]};
+        acc[g] = MulAdd<kSkipZeros>(acc[g], col, xs);
+      }
+    }
+    float out[kGemvRows];
+    std::memcpy(out, acc, sizeof(out));
+    for (uint32_t r = 0; r < rows; ++r) {
+      c[i0 + r] = Relu(out[r], relu);
+    }
   }
 }
 
 }  // namespace
 
-void GemmOpt(const float* a, const float* b, float* c, uint32_t m, uint32_t k,
-             uint32_t n, bool relu) {
+size_t GemmPackFloats(uint32_t k, uint32_t n) {
+  return static_cast<size_t>(k) *
+         (n == 1 ? 1 : static_cast<size_t>(GemmPanels(n)) * kPanelCols);
+}
+
+void GemmOpt(const float* const* a_rows, const float* const* b_rows,
+             float* bpack, float* c, uint32_t m, uint32_t k, uint32_t n,
+             bool relu) {
+  PackGemmB(b_rows, bpack, k, n);
+  // A zero av's product is ±0 unless its B value is an Inf or a NaN, and
+  // a chain that starts at +0.0f never holds -0.0f (a sum is -0.0f only
+  // when both addends are), so adding ±0 changes no bits: the zero skip
+  // needs the select only when B holds a non-finite value.
+  const bool skip_zeros = AnyNonFinite(bpack, GemmPackFloats(k, n));
   if (n == 1) {
-    GemmOptN1(a, b, c, m, k, relu);
-    return;
-  }
-  for (uint32_t i0 = 0; i0 < m; i0 += kGemmRows) {
-    const uint32_t ie = std::min(i0 + kGemmRows, m);
-    for (uint32_t j0 = 0; j0 < n; j0 += kGemmCols) {
-      const uint32_t je = std::min(j0 + kGemmCols, n);
-      if (ie - i0 == kGemmRows && je - j0 == kGemmCols) {
-        // Full register tile: kk ascending per output, the av==0 skip is
-        // uniform across the kGemmCols j-lanes (it depends on (i,kk) only).
-        float acc[kGemmRows][kGemmCols] = {};
-        const float* ablk = a + static_cast<size_t>(i0) * k;
-        for (uint32_t kk = 0; kk < k; ++kk) {
-          const float* brow = b + static_cast<size_t>(kk) * n + j0;
-          for (uint32_t r = 0; r < kGemmRows; ++r) {
-            const float av = ablk[static_cast<size_t>(r) * k + kk];
-            if (av == 0.0f) {
-              continue;
-            }
-            for (uint32_t jj = 0; jj < kGemmCols; ++jj) {
-              acc[r][jj] += av * brow[jj];
-            }
-          }
-        }
-        for (uint32_t r = 0; r < kGemmRows; ++r) {
-          float* crow = c + static_cast<size_t>(i0 + r) * n + j0;
-          for (uint32_t jj = 0; jj < kGemmCols; ++jj) {
-            crow[jj] = relu ? std::max(0.0f, acc[r][jj]) : acc[r][jj];
-          }
-        }
-      } else {
-        // Tail tile: the same kk-ascending lane walk with runtime
-        // bounds, so skinny outputs (pointwise convs with n <
-        // kGemmCols spatial columns) keep their lane parallelism
-        // instead of dropping to the scalar reference loop. Each
-        // output's chain is still the reference's: kk ascending with
-        // the uniform (i,kk) zero skip.
-        const uint32_t rows = ie - i0;
-        const uint32_t cols = je - j0;
-        float acc[kGemmRows][kGemmCols] = {};
-        const float* ablk = a + static_cast<size_t>(i0) * k;
-        for (uint32_t kk = 0; kk < k; ++kk) {
-          const float* brow = b + static_cast<size_t>(kk) * n + j0;
-          for (uint32_t r = 0; r < rows; ++r) {
-            const float av = ablk[static_cast<size_t>(r) * k + kk];
-            if (av == 0.0f) {
-              continue;
-            }
-            for (uint32_t jj = 0; jj < cols; ++jj) {
-              acc[r][jj] += av * brow[jj];
-            }
-          }
-        }
-        for (uint32_t r = 0; r < rows; ++r) {
-          float* crow = c + static_cast<size_t>(i0 + r) * n + j0;
-          for (uint32_t jj = 0; jj < cols; ++jj) {
-            crow[jj] = relu ? std::max(0.0f, acc[r][jj]) : acc[r][jj];
-          }
-        }
-      }
+    if (skip_zeros) {
+      Gemv<true>(a_rows, bpack, c, m, k, relu);
+    } else {
+      Gemv<false>(a_rows, bpack, c, m, k, relu);
     }
+  } else if (skip_zeros) {
+    GemmTiles<true>(a_rows, bpack, c, m, k, n, relu);
+  } else {
+    GemmTiles<false>(a_rows, bpack, c, m, k, n, relu);
   }
 }
 
@@ -262,17 +372,17 @@ size_t Conv2dPackFloats(uint32_t cin, uint32_t cout, uint32_t kh,
   return static_cast<size_t>(cin) * kh * kw * ConvPaddedCout(cout);
 }
 
-void Conv2dOpt(const float* in, const float* wts, float* wpack, float* out,
-               uint32_t cin, uint32_t h, uint32_t w, uint32_t cout,
-               uint32_t kh, uint32_t kw, uint32_t stride, uint32_t pad,
-               bool relu) {
+void Conv2dOpt(const float* in, const float* const* wrows, float* wpack,
+               float* out, uint32_t cin, uint32_t h, uint32_t w,
+               uint32_t cout, uint32_t kh, uint32_t kw, uint32_t stride,
+               uint32_t pad, bool relu) {
   const uint32_t oh = (h + 2 * pad - kh) / stride + 1;
   const uint32_t ow = (w + 2 * pad - kw) / stride + 1;
   const size_t npix = static_cast<size_t>(oh) * ow;
   const uint32_t coutp = ConvPaddedCout(cout);
   const size_t in_ci = static_cast<size_t>(h) * w;
   const size_t w_ci = static_cast<size_t>(kh) * kw * coutp;
-  PackConvWeights(wts, wpack, cin, cout, kh, kw);
+  PackConvWeights(wrows, wpack, cin, cout, kh, kw);
   for (uint32_t co0 = 0; co0 < cout; co0 += kConvCo) {
     for (size_t q0 = 0; q0 < npix; q0 += kConvPix) {
       const uint32_t np =

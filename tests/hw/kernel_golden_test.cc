@@ -106,13 +106,23 @@ class Rig {
   // physically *descending* pages, guaranteeing the span is discontiguous
   // (forces the optimized engine's gather/scatter path).
   uint64_t Map(uint64_t n_pages, PteFlags flags, bool reversed = false) {
+    return MapRuns(n_pages, flags, reversed ? 1 : n_pages);
+  }
+
+  // Maps n_pages at the next free VA in physically contiguous runs of
+  // run_pages pages, the runs in descending physical order, so the span
+  // breaks physically every run_pages pages.
+  uint64_t MapRuns(uint64_t n_pages, PteFlags flags, uint64_t run_pages) {
     uint64_t va = next_va_;
     std::vector<uint64_t> pas(n_pages);
     for (uint64_t i = 0; i < n_pages; ++i) {
       pas[i] = alloc_.AllocPage().value();
     }
     for (uint64_t i = 0; i < n_pages; ++i) {
-      uint64_t pa = reversed ? pas[n_pages - 1 - i] : pas[i];
+      const uint64_t run_start = i / run_pages * run_pages;
+      const uint64_t run_len = std::min(run_pages, n_pages - run_start);
+      const uint64_t pa =
+          pas[n_pages - (run_start + run_len) + (i - run_start)];
       EXPECT_TRUE(builder_.MapPage(va + i * kPageSize, pa, flags).ok());
       pa_of_[va + i * kPageSize] = pa;
     }
@@ -300,7 +310,8 @@ Prepared GemmCase(Rig& rig, uint32_t m, uint32_t k, uint32_t n, bool relu,
 // One conv2d job on s = {cin, h, w, cout, kh, kw, stride, pad}.
 Prepared ConvCase(Rig& rig, const std::array<uint32_t, 8>& s, bool relu,
                   const std::vector<float>& in_data,
-                  const std::vector<float>& wt_data) {
+                  const std::vector<float>& wt_data,
+                  bool reversed_weights = false) {
   uint32_t cin = s[0], h = s[1], w = s[2], cout = s[3];
   uint32_t kh = s[4], kw = s[5], stride = s[6], pad = s[7];
   uint32_t oh = (h + 2 * pad - kh) / stride + 1;
@@ -308,8 +319,8 @@ Prepared ConvCase(Rig& rig, const std::array<uint32_t, 8>& s, bool relu,
   size_t out_n = static_cast<size_t>(cout) * oh * ow;
   uint64_t in =
       rig.Map((in_data.size() * 4) / kPageSize + 1, {true, false, false});
-  uint64_t wt =
-      rig.Map((wt_data.size() * 4) / kPageSize + 1, {true, false, false});
+  uint64_t wt = rig.Map((wt_data.size() * 4) / kPageSize + 1,
+                        {true, false, false}, reversed_weights);
   uint64_t out = rig.Map((out_n * 4) / kPageSize + 1, {true, true, false});
   rig.WriteF32(in, in_data);
   rig.WriteF32(wt, wt_data);
@@ -417,6 +428,181 @@ TEST(KernelGolden, GemmPageCrossingReversedPages) {
   // optimized engine onto the gather/scatter path.
   ExpectEngineParity(
       [](Rig& rig) { return GemmCase(rig, 40, 40, 40, true, true); });
+}
+
+// ------------------------------------------------ GEMM panels and GEMV
+// The optimized GEMM packs B into 8-column panels and runs a 4-row
+// register tile over them (n >= 2), or 16 rows in vector lanes (n == 1);
+// tail rows and padded columns are computed and never stored. These
+// shapes put every n, m and k tail against those widths.
+
+// A with about 40% +-0.0 (both signs): TestData's zeros plus every
+// column kk in `dead`, which is all zeros.
+std::vector<float> ZeroHeavyA(uint32_t m, uint32_t k,
+                              const std::vector<bool>& dead, uint32_t seed) {
+  std::vector<float> a = TestData(static_cast<size_t>(m) * k, seed);
+  for (uint32_t i = 0; i < m; ++i) {
+    for (uint32_t kk = 0; kk < k; ++kk) {
+      if (dead[kk]) {
+        a[static_cast<size_t>(i) * k + kk] = (i + kk) % 2 == 0 ? 0.0f : -0.0f;
+      }
+    }
+  }
+  return a;
+}
+
+// B whose rows kk in `dead` are +-Inf and NaN: the reference skips every
+// product of those rows (their av is always 0), so every output stays
+// finite only if the optimized kernel skips them too.
+std::vector<float> PoisonedB(uint32_t k, uint32_t n,
+                             const std::vector<bool>& dead, uint32_t seed) {
+  static const uint32_t kPoison[] = {0x7f800000u, 0xff800000u, 0x7fc00000u,
+                                     0xffc00123u};
+  std::vector<float> b = TestData(static_cast<size_t>(k) * n, seed);
+  for (uint32_t kk = 0; kk < k; ++kk) {
+    if (!dead[kk]) {
+      continue;
+    }
+    for (uint32_t j = 0; j < n; ++j) {
+      std::memcpy(&b[static_cast<size_t>(kk) * n + j], &kPoison[(kk + j) % 4],
+                  sizeof(float));
+    }
+  }
+  return b;
+}
+
+// One chain of GEMM jobs of m x n outputs: every k in `ks`, relu off and
+// on, with finite and with poisoned B. The outputs sit back to back in
+// one region, so one comparison covers the chain.
+Prepared GemmTailChain(Rig& rig, uint32_t m, uint32_t n,
+                       const std::vector<uint32_t>& ks) {
+  auto pages = [](size_t floats) {
+    return (floats * 4 + kPageSize - 1) / kPageSize;
+  };
+  struct Job {
+    uint32_t k;
+    bool relu;
+    bool poisoned;
+  };
+  std::vector<Job> jobs;
+  for (uint32_t k : ks) {
+    for (bool relu : {false, true}) {
+      for (bool poisoned : {false, true}) {
+        jobs.push_back({k, relu, poisoned});
+      }
+    }
+  }
+  const size_t cn = static_cast<size_t>(m) * n;
+  const uint64_t c = rig.Map(pages(cn * jobs.size()), {true, true, false});
+  uint64_t next = 0;
+  for (size_t j = jobs.size(); j-- > 0;) {
+    const Job& job = jobs[j];
+    std::vector<bool> dead(job.k);
+    for (uint32_t kk = 0; kk < job.k; ++kk) {
+      dead[kk] = kk % 4 == 1;
+    }
+    const uint32_t seed = m * 131 + n * 17 + job.k;
+    const uint64_t a = rig.Map(pages(static_cast<size_t>(m) * job.k),
+                               {true, false, false});
+    const uint64_t b = rig.Map(pages(static_cast<size_t>(job.k) * n),
+                               {true, false, false});
+    rig.WriteF32(a, ZeroHeavyA(m, job.k, dead, seed));
+    rig.WriteF32(b, job.poisoned ? PoisonedB(job.k, n, dead, seed + 1)
+                                 : TestData(static_cast<size_t>(job.k) * n,
+                                            seed + 1));
+    JobDescriptor d;
+    d.op = GpuOp::kGemm;
+    d.flags = job.relu ? kJobFlagReluFused : 0;
+    d.input_va[0] = a;
+    d.aux_va = b;
+    d.output_va = c + j * cn * 4;
+    d.params = {m, job.k, n, 0, 0, 0, 0, 0};
+    next = rig.InstallJob(d, next);
+  }
+  return {next, c, cn * jobs.size() * 4};
+}
+
+TEST(KernelGolden, GemmPanelAndGemvTails) {
+  const uint32_t ns[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17};
+  const uint32_t ms[] = {1, 2, 3, 4, 5, 6, 7, 15, 16, 17, 33};
+  const std::vector<uint32_t> ks = {1, 3, 4, 5, 131};
+  for (uint32_t n : ns) {
+    for (uint32_t m : ms) {
+      const auto res = ExpectEngineParity(
+          [&](Rig& rig) { return GemmTailChain(rig, m, n, ks); });
+      for (size_t i = 0; i < res[0].out.size() / sizeof(float); ++i) {
+        ASSERT_TRUE(std::isfinite(FloatAt(res[0].out, i)))
+            << "m " << m << " n " << n << " output " << i;
+      }
+    }
+  }
+}
+
+// One GEMM job whose A and B are mapped in physically contiguous runs of
+// `run_pages` pages (descending), A's base `a_offset` bytes into its
+// first page.
+Prepared GemmLayoutCase(Rig& rig, uint32_t m, uint32_t k, uint32_t n,
+                        uint64_t run_pages, uint64_t a_offset) {
+  auto pages = [](uint64_t bytes) {
+    return (bytes + kPageSize - 1) / kPageSize;
+  };
+  const uint64_t a_bytes = static_cast<uint64_t>(m) * k * 4;
+  const uint64_t b_bytes = static_cast<uint64_t>(k) * n * 4;
+  const uint64_t a = rig.MapRuns(pages(a_bytes + a_offset),
+                                 {true, false, false}, run_pages) +
+                     a_offset;
+  const uint64_t b =
+      rig.MapRuns(pages(b_bytes), {true, false, false}, run_pages);
+  const uint64_t c = rig.Map(pages(static_cast<uint64_t>(m) * n * 4),
+                             {true, true, false});
+  rig.WriteF32(a, TestData(static_cast<size_t>(m) * k, m + k));
+  rig.WriteF32(b, TestData(static_cast<size_t>(k) * n, k + n));
+  JobDescriptor d;
+  d.op = GpuOp::kGemm;
+  d.flags = kJobFlagReluFused;
+  d.input_va[0] = a;
+  d.aux_va = b;
+  d.output_va = c;
+  d.params = {m, k, n, 0, 0, 0, 0, 0};
+  return {rig.InstallJob(d), c, static_cast<uint64_t>(m) * n * 4};
+}
+
+TEST(KernelGolden, GemmRowsStraddlePageBreaks) {
+  // k = 1000: 4000-byte rows of A against 4096-byte pages, so the rows
+  // start at a different offset in every page. On reversed pages (a break
+  // at every page) nearly every row straddles a break; with 3-page runs
+  // some rows are read in place and the rest are copied.
+  for (uint32_t n : {1u, 3u, 8u, 9u}) {
+    for (uint64_t run : {1u, 3u}) {
+      ExpectEngineParity(
+          [&](Rig& rig) { return GemmLayoutCase(rig, 21, 1000, n, run, 0); });
+    }
+    // A +2-byte-unaligned A base: no row of A is a direct view.
+    ExpectEngineParity(
+        [&](Rig& rig) { return GemmLayoutCase(rig, 9, 1000, n, 3, 2); });
+  }
+  // An unmapped page in the middle of A's row 2 (bytes 8000-12000): both
+  // engines report the same translate fault at that page.
+  uint64_t a_va = 0;
+  const auto res = ExpectEngineParity([&](Rig& rig) -> Prepared {
+    const uint32_t m = 8, k = 1000, n = 2;
+    a_va = rig.Map(2, {true, false, false});
+    rig.Map(6, {true, false, false});  // resumes after a one-page hole
+    const uint64_t b = rig.Map(2, {true, false, false});
+    const uint64_t c = rig.Map(1, {true, true, false});
+    rig.WriteF32(a_va, TestData(2000, 4));
+    rig.WriteF32(b, TestData(static_cast<size_t>(k) * n, 5));
+    JobDescriptor d;
+    d.op = GpuOp::kGemm;
+    d.input_va[0] = a_va;
+    d.aux_va = b;
+    d.output_va = c;
+    d.params = {m, k, n, 0, 0, 0, 0, 0};
+    return {rig.InstallJob(d), 0, 0};
+  });
+  EXPECT_TRUE(res[0].result.is_mmu_fault);
+  EXPECT_EQ(res[0].result.mmu_fault.status, kFaultTranslation);
+  EXPECT_EQ(res[0].result.mmu_fault.address, a_va + 2 * kPageSize);
 }
 
 TEST(KernelGolden, GemmZeroDimFaultParity) {
@@ -761,6 +947,20 @@ TEST(KernelGolden, Conv2dTileTailShapes) {
       ExpectEngineParity(
           [&](Rig& rig) { return ConvCase(rig, s, relu, TestData); });
     }
+  }
+}
+
+TEST(KernelGolden, Conv2dWeightsOnReversedPages) {
+  // 64 input channels x 3x3: 2304-byte weight rows (one per output
+  // channel) over physically descending pages, so rows straddle a break
+  // at varying offsets and the optimized engine reads the others in
+  // place.
+  const std::array<uint32_t, 8> s = {64, 4, 4, 16, 3, 3, 1, 1};
+  const std::vector<float> in = TestData(64 * 4 * 4, 7);
+  const std::vector<float> wt = TestData(16 * 64 * 9, 8);
+  for (bool relu : {false, true}) {
+    ExpectEngineParity(
+        [&](Rig& rig) { return ConvCase(rig, s, relu, in, wt, true); });
   }
 }
 
