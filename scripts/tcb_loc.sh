@@ -15,14 +15,14 @@ loc() { cat "$@" | wc -l; }
 
 analysis=$(loc src/analysis/*.h src/analysis/*.cc src/analysis/footprint/*)
 recfmt=$(loc src/record/{log,recording,diff}.{h,cc})
-record=$(loc src/record/{recorder,plan,replayer,layered,store}.{h,cc} \
+record=$(loc src/record/{recorder,page_snapshot,plan,replayer,layered,store}.{h,cc} \
   src/analysis/planopt/*)
 tee=$(loc src/tee/*.{h,cc})
 regs=$(loc src/hw/regs.{h,cc})
 
 printf '%-13s %6d  (verifier, footprint)\n' grt_analysis "${analysis}"
 printf '%-13s %6d  (log, container, diff)\n' grt_recfmt "${recfmt}"
-printf '%-13s %6d  (recorder, plan, replayer, layered, store, planopt)\n' \
+printf '%-13s %6d  (recorder, page snapshot, plan, replayer, layered, store, planopt)\n' \
   grt_record "${record}"
 printf '%-13s %6d  (TZASC, session, SoC)\n' grt_tee "${tee}"
 printf '%-13s %6d  (register map, from grt_hw)\n' hw/regs "${regs}"

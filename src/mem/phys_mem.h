@@ -44,8 +44,10 @@ class PhysicalMemory {
   using AccessPolicy = std::function<bool(uint64_t pa, uint64_t len, bool write,
                                           MemAccessOrigin origin)>;
   // Observer invoked after every successful write (any origin: CPU either
-  // world, GPU DMA). The replayer's dirty-page tracker interposes here to
-  // learn which recorded-image pages a replay clobbered.
+  // world, GPU DMA) and after ZeroAll. The replayer's dirty-page tracker
+  // interposes here to learn which recorded-image pages a replay
+  // clobbered, and the recorder's PageSnapshotter to learn which pages it
+  // must hash again.
   using WriteObserver = std::function<void(uint64_t pa, uint64_t len)>;
 
   PhysicalMemory(uint64_t base_pa, uint64_t size)
@@ -128,7 +130,13 @@ class PhysicalMemory {
   Status LoadPage(uint64_t page_pa, const Bytes& content);
   Bytes DumpAll() const { return Bytes(data_.begin(), data_.end()); }
 
-  void ZeroAll() { std::fill(data_.begin(), data_.end(), 0); }
+  // Scrubs every byte (record sessions start from zeroed memory). Write
+  // observers see the scrub as one write over the whole memory, so dirty
+  // tracking built on them stays exact across it.
+  void ZeroAll() {
+    std::fill(data_.begin(), data_.end(), 0);
+    NotifyWritten(base_, size());
+  }
 
  private:
   Status CheckAccess(uint64_t pa, uint64_t len, bool write,

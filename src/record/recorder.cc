@@ -1,9 +1,6 @@
 #include "src/record/recorder.h"
 
-#include <unordered_set>
-
 #include "src/analysis/footprint/footprint.h"
-#include "src/common/hash.h"
 #include "src/hw/regs.h"
 #include "src/obs/metrics.h"
 
@@ -59,29 +56,10 @@ void Recorder::OnIrqWait(const IrqStatus& status) {
 
 void Recorder::SnapshotMemory() {
   GRT_OBS_COUNT("recorder.snapshots", 1);
-  std::vector<uint64_t> all = driver_->AllGpuPages();
-  std::vector<uint64_t> meta = driver_->MetastatePages();
-  std::unordered_set<uint64_t> meta_set(meta.begin(), meta.end());
-
-  for (uint64_t pa : all) {
-    auto view = mem_->PageView(pa);
-    if (!view.ok()) {
-      continue;  // page fell out of the carveout; nothing to record
-    }
-    uint32_t crc = Crc32(view.value(), kPageSize);
-    auto it = page_crc_.find(pa);
-    if (it != page_crc_.end() && it->second == crc) {
-      continue;  // unchanged since last snapshot
-    }
-    page_crc_[pa] = crc;
-    GRT_OBS_COUNT("recorder.pages_logged", 1);
-    LogEntry e;
-    e.op = LogOp::kMemPage;
-    e.pa = pa;
-    e.metastate = meta_set.count(pa) > 0;
-    e.data.assign(view.value(), view.value() + kPageSize);
-    log_.Add(std::move(e));
-  }
+  [[maybe_unused]] const SnapshotCounts counts = snapshot_.Snapshot(
+      driver_->AllGpuPages(), driver_->MetastatePages(), &log_);
+  GRT_OBS_COUNT("recorder.pages_hashed", counts.hashed);
+  GRT_OBS_COUNT("recorder.pages_logged", counts.logged);
 }
 
 Result<Recording> Recorder::Finish(

@@ -6,18 +6,18 @@
 // metastate vs program data). The result is an InteractionLog that the
 // Recording container wraps and signs.
 //
-// Used by both the local GR baseline (wrapping DirectBus) and by GR-T's
-// DriverShim, which feeds the same events from the cloud side.
+// Used by the local GR baseline (wrapping DirectBus). GR-T's DriverShim
+// assembles the same log from the cloud side and takes its snapshots with
+// the same PageSnapshotter (src/record/page_snapshot.h).
 #ifndef GRT_SRC_RECORD_RECORDER_H_
 #define GRT_SRC_RECORD_RECORDER_H_
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "src/driver/direct_bus.h"
 #include "src/driver/kbase.h"
 #include "src/record/log.h"
+#include "src/record/page_snapshot.h"
 #include "src/record/recording.h"
 
 namespace grt {
@@ -25,9 +25,10 @@ namespace grt {
 class Recorder : public BusObserver {
  public:
   // The recorder introspects the driver for the GPU page sets (which pages
-  // exist, which are metastate) and reads page content from `mem`.
-  Recorder(const KbaseDriver* driver, const PhysicalMemory* mem)
-      : driver_(driver), mem_(mem) {}
+  // exist, which are metastate) and reads page content from `mem`, whose
+  // writes it observes (see PageSnapshotter).
+  Recorder(const KbaseDriver* driver, PhysicalMemory* mem)
+      : driver_(driver), snapshot_(mem) {}
 
   // BusObserver.
   void OnRegRead(uint32_t offset, uint32_t value) override;
@@ -37,8 +38,9 @@ class Recorder : public BusObserver {
   void OnDelay(Duration d) override;
   void OnIrqWait(const IrqStatus& status) override;
 
-  // Snapshot all GPU pages now (deduplicated). Called automatically on
-  // job-start writes; call manually to capture the final state.
+  // Snapshot the GPU pages now (only pages changed since they were last
+  // logged). Called automatically on job-start writes; call manually to
+  // capture the final state.
   void SnapshotMemory();
 
   const InteractionLog& log() const { return log_; }
@@ -52,9 +54,8 @@ class Recorder : public BusObserver {
 
  private:
   const KbaseDriver* driver_;
-  const PhysicalMemory* mem_;
+  PageSnapshotter snapshot_;
   InteractionLog log_;
-  std::unordered_map<uint64_t, uint32_t> page_crc_;  // pa -> last content crc
 };
 
 // Helper: resolves a tensor's physical pages through the driver's regions.

@@ -95,12 +95,13 @@ DriverShim::DriverShim(const ShimConfig& config, NetChannel* channel,
       cloud_mem_(cloud_mem),
       cloud_tl_(channel->timeline(kCloudEnd)),
       history_(history),
-      sync_(cloud_mem, config.meta_only_sync, config.compress_sync) {
+      sync_(cloud_mem, config.meta_only_sync, config.compress_sync),
+      snapshot_(cloud_mem) {
   // §5 continuous validation: after dumping memory to the client at a job
   // start, the dumped regions are unmapped from the CPU until the job's
   // interrupt returns; spurious accesses trap as errors instead of
   // silently desynchronizing the two memory views.
-  cloud_mem_->AddAccessPolicy(
+  seal_policy_id_ = cloud_mem_->AddAccessPolicy(
       [this](uint64_t, uint64_t, bool, MemAccessOrigin origin) {
         if (gpu_busy_sealed_ && origin != MemAccessOrigin::kGpu) {
           ++stats_.spurious_cpu_traps;
@@ -109,6 +110,8 @@ DriverShim::DriverShim(const ShimConfig& config, NetChannel* channel,
         return true;
       });
 }
+
+DriverShim::~DriverShim() { cloud_mem_->RemoveAccessPolicy(seal_policy_id_); }
 
 void DriverShim::SetError(Status s) {
   if (last_error_.ok() && !s.ok()) {
@@ -229,30 +232,10 @@ void DriverShim::SnapshotMemory() {
   if (driver_ == nullptr) {
     return;
   }
-  std::vector<uint64_t> all = driver_->AllGpuPages();
-  std::vector<uint64_t> meta = driver_->MetastatePages();
-  std::unordered_map<uint64_t, bool> meta_set;
-  for (uint64_t pa : meta) {
-    meta_set[pa] = true;
-  }
-  for (uint64_t pa : all) {
-    auto view = cloud_mem_->PageView(pa);
-    if (!view.ok()) {
-      continue;
-    }
-    uint32_t crc = Crc32(view.value(), kPageSize);
-    auto it = page_crc_.find(pa);
-    if (it != page_crc_.end() && it->second == crc) {
-      continue;
-    }
-    page_crc_[pa] = crc;
-    LogEntry e;
-    e.op = LogOp::kMemPage;
-    e.pa = pa;
-    e.metastate = meta_set.count(pa) > 0;
-    e.data.assign(view.value(), view.value() + kPageSize);
-    log_.Add(std::move(e));
-  }
+  stats_.pages_hashed +=
+      snapshot_
+          .Snapshot(driver_->AllGpuPages(), driver_->MetastatePages(), &log_)
+          .hashed;
 }
 
 Status DriverShim::MaybeSyncBeforeJobStart(

@@ -28,6 +28,7 @@
 #include "src/driver/bus.h"
 #include "src/driver/kbase.h"
 #include "src/net/channel.h"
+#include "src/record/page_snapshot.h"
 #include "src/record/recording.h"
 #include "src/shim/gpushim.h"
 #include "src/shim/memsync.h"
@@ -83,6 +84,9 @@ struct ShimStats {
   // §5 continuous validation: spurious CPU accesses to GPU memory while
   // the GPU is busy (the region is "unmapped" between sync points).
   uint64_t spurious_cpu_traps = 0;
+  // Pages CRC'd by the job-start memory snapshots (§5): only pages
+  // written since their last CRC are hashed (PageSnapshotter).
+  uint64_t pages_hashed = 0;
   Duration rollback_time = 0;
   // Fig. 8: speculative commits by driver-routine category.
   std::map<std::string, uint64_t> spec_by_category;
@@ -91,8 +95,11 @@ struct ShimStats {
 
 class DriverShim : public GpuBus {
  public:
+  // `cloud_mem` must outlive the shim, which installs an access policy
+  // and a write observer on it and removes both when destroyed.
   DriverShim(const ShimConfig& config, NetChannel* channel, GpuShim* client,
              PhysicalMemory* cloud_mem, SpeculationHistory* history);
+  ~DriverShim() override;
 
   // The shim snapshots memory and derives sync manifests through the
   // driver's introspection surface; attach once the driver exists.
@@ -229,8 +236,9 @@ class DriverShim : public GpuBus {
 
   InteractionLog log_;
   bool gpu_busy_sealed_ = false;  // §5 continuous validation window
+  int seal_policy_id_ = 0;        // cloud_mem_ policy enforcing the window
   std::vector<size_t> cuts_;  // log indices of layer boundaries
-  std::unordered_map<uint64_t, uint32_t> page_crc_;
+  PageSnapshotter snapshot_;
   std::unordered_map<uint64_t, uint32_t> last_poll_final_;
 
   ShimStats stats_;

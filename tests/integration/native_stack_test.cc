@@ -85,8 +85,6 @@ TEST(NativeStack, RecordThenReplayReproducesComputation) {
   // Replay on the same device in the TEE.
   Replayer replayer(&device.gpu(), &device.tzasc(), &device.mem(),
                     &device.timeline());
-  fprintf(stderr, "DBG test-tu sizeof=%zu dcount=%zu addr=%p\n",
-          sizeof(Replayer), replayer.dirty_pages().Count(), (void*)&replayer);
   ASSERT_TRUE(replayer.LoadSigned(wire, key).ok());
 
   std::vector<float> input = GenerateInput(net, 1234);

@@ -352,5 +352,38 @@ TEST(ReplayProperties, RestagedWeightsAreInjectedOnWarmReplay) {
   EXPECT_FALSE(BitIdentical(*out, *before));
 }
 
+TEST(ReplayProperties, WarmReplayAfterZeroAllMatchesFreshReplayer) {
+  // A record session scrubs the device with ZeroAll when it starts. A
+  // replayer armed on that device must see the scrub as a write to every
+  // page, or its next warm replay skips image and tensor pages that now
+  // hold zeros.
+  NetworkDef net = BuildMnist();
+  ClientDevice device(SkuId::kMaliG71Mp8, 107);
+  auto rec = Record(&device, net, "OursMDS");
+  ASSERT_TRUE(rec.ok());
+  Replayer replayer(&device.gpu(), &device.tzasc(), &device.mem(),
+                    &device.timeline());
+  ASSERT_TRUE(replayer.LoadSigned(rec->wire, rec->key).ok());
+  ASSERT_TRUE(StageModel(&replayer, net, 9).ok());
+  ASSERT_TRUE(
+      replayer.StageTensor(net.input_tensor, GenerateInput(net, 1)).ok());
+  ASSERT_TRUE(replayer.Replay().ok());
+  auto warm = replayer.Replay();
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  ASSERT_TRUE(warm->warm);
+
+  device.mem().ZeroAll();
+  auto after = replayer.Replay();
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_TRUE(after->warm);
+  EXPECT_EQ(after->pages_skipped_clean, 0u);
+
+  auto out = replayer.ReadTensor(net.output_tensor);
+  ClientDevice fresh(SkuId::kMaliG71Mp8, 107);
+  auto want = ReplayOutput(&fresh, net, *rec, 9, 1);
+  ASSERT_TRUE(out.ok() && want.ok());
+  EXPECT_TRUE(BitIdentical(*out, *want));
+}
+
 }  // namespace
 }  // namespace grt

@@ -1,6 +1,9 @@
 // Physical memory + page allocator tests (the shared GPU carveout).
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "src/mem/phys_mem.h"
 
 namespace grt {
@@ -43,6 +46,20 @@ TEST(PhysMem, AccessPolicyGates) {
   EXPECT_TRUE(mem.WriteU32(kBase, 1, MemAccessOrigin::kCpuSecureWorld).ok());
   EXPECT_TRUE(mem.ReadU32(kBase, MemAccessOrigin::kCpuNormalWorld).ok());
   EXPECT_TRUE(mem.WriteU32(kBase, 2, MemAccessOrigin::kGpu).ok());
+}
+
+TEST(PhysMem, ZeroAllFiresWriteObserversOverTheWholeMemory) {
+  PhysicalMemory mem(kBase, kSize);
+  ASSERT_TRUE(mem.WriteU32(kBase + 16, 7).ok());
+  std::vector<std::pair<uint64_t, uint64_t>> seen;
+  int id = mem.AddWriteObserver(
+      [&](uint64_t pa, uint64_t len) { seen.emplace_back(pa, len); });
+  mem.ZeroAll();
+  mem.RemoveWriteObserver(id);
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].first, kBase);
+  EXPECT_EQ(seen[0].second, kSize);
+  EXPECT_EQ(mem.ReadU32(kBase + 16).value(), 0u);
 }
 
 TEST(PhysMem, PageOps) {

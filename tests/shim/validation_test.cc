@@ -5,6 +5,8 @@
 // the GPU becomes idle; any spurious access from GPU will be trapped."
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "src/cloud/session.h"
 #include "src/harness/rig.h"
 #include "src/shim/drivershim.h"
@@ -46,6 +48,36 @@ TEST(ContinuousValidation, CloudCpuSealedWhileGpuBusy) {
   auto irq = shim.WaitForIrq(kSecond);
   ASSERT_TRUE(irq.ok()) << irq.status().ToString();
   EXPECT_TRUE(cloud_mem.WriteU32(kCarveoutBase, 3).ok());
+  gpushim.EndSession();
+}
+
+TEST(ContinuousValidation, DestroyedShimLeavesNothingOnTheMemory) {
+  // The seal policy and the snapshot observer both call into the shim; the
+  // memory outlives it here, and later accesses must not reach it.
+  ClientDevice device(SkuId::kMaliG71Mp8, 157);
+  Timeline cloud_tl("cloud");
+  PhysicalMemory cloud_mem(kCarveoutBase, kCarveoutSize);
+  SpeculationHistory history;
+  ShimConfig config = ShimConfig::OursMD();
+  GpuShim gpushim(&device.gpu(), &device.tzasc(), &device.mem(),
+                  &device.timeline(), config.meta_only_sync,
+                  config.compress_sync, &device.soc());
+  NetChannel channel(WifiConditions(), &cloud_tl, &device.timeline());
+  auto shim = std::make_unique<DriverShim>(config, &channel, &gpushim,
+                                           &cloud_mem, &history);
+  gpushim.BeginSession();
+  // Destroyed mid-job, with the window sealed.
+  shim->EnterHotFunction("fn");
+  shim->WriteReg(JobSlotRegister(0, kJsCommandNext), RegValue(kJsCommandStart),
+                 "job:start");
+  shim->LeaveHotFunction();
+  EXPECT_EQ(cloud_mem.WriteU32(kCarveoutBase, 1).code(),
+            StatusCode::kPermissionDenied);
+  shim.reset();
+
+  EXPECT_TRUE(cloud_mem.WriteU32(kCarveoutBase, 2).ok());
+  EXPECT_EQ(cloud_mem.ReadU32(kCarveoutBase).value(), 2u);
+  cloud_mem.ZeroAll();
   gpushim.EndSession();
 }
 
