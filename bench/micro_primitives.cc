@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) of the primitives on GR-T's hot
-// paths: range coder, delta codec, SHA-256/HMAC, symbolic-expression
+// paths: range coder, delta codec, SHA-256/HMAC, CRC-32, symbolic-expression
 // evaluation, page-table walks, and wire serialization.
 #include <benchmark/benchmark.h>
 
+#include "src/common/hash.h"
 #include "src/common/rng.h"
 #include "src/common/sha256.h"
 #include "src/compress/delta.h"
@@ -73,6 +74,33 @@ void BM_HmacSha256Commit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HmacSha256Commit);
+
+// One pass over a recording-sized blob, as the store and the signature
+// checks run at set-up.
+void BM_Sha256Blob(benchmark::State& state) {
+  Rng rng(3);
+  Bytes blob(4 << 20);
+  for (auto& b : blob) {
+    b = static_cast<uint8_t>(rng.NextU32());
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Sha256::Hash(blob));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(blob.size()));
+}
+BENCHMARK(BM_Sha256Blob);
+
+// The per-page CRC of a record session's job-start snapshot.
+void BM_Crc32Page(benchmark::State& state) {
+  Bytes page = MakeSparsePage(0.5, 4);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(page.data(), page.size()));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(page.size()));
+}
+BENCHMARK(BM_Crc32Page);
 
 void BM_SymExprEval(benchmark::State& state) {
   // (S1 | 0x10) & ~(S2 << 3), resolved.

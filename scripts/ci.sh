@@ -2,8 +2,9 @@
 # Five-pass CI gate:
 #   1. normal build + full ctest (includes the chaos suite, run twice so
 #      the deterministic-recording acceptance covers two consecutive runs),
-#      then scripts/tcb_loc.sh prints the replay-side line count (reported,
-#      not gated)
+#      then scripts/tcb_loc.sh prints the replay-side line count and
+#      sha256_test prints which SHA-256 block function the host ran (both
+#      reported, not gated)
 #   2. replay perf smoke gate: bench/replay_serving --smoke fails if a
 #      warm plan-based replay ever applies at least as many memory bytes
 #      as the interpreter, diverges from it bitwise, or the planopt-fused
@@ -78,6 +79,11 @@ echo "=== pass 1/5: ctest (second run, determinism check) ==="
 ctest --test-dir build-ci -j "${JOBS}" --output-on-failure
 echo "=== pass 1/5: replay-side TCB line count ==="
 scripts/tcb_loc.sh
+# Reported, not gated: a host without the x86 SHA extensions runs (and so
+# tests) only the portable SHA-256 block function.
+echo "=== pass 1/5: SHA-256 block function on this host ==="
+build-ci/tests/common/sha256_test --gtest_filter='*ChosenIsOneOfTheTwo' |
+  grep 'SHA-256 block function:'
 
 echo "=== pass 2/5: replay perf smoke gate ==="
 cmake --build build-ci -j "${JOBS}" --target replay_serving

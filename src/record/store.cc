@@ -20,10 +20,13 @@ Status RecordingStore::Install(const Bytes& signed_recording) {
   auto it = entries_.find(k);
   if (it != entries_.end()) {
     // Only accept strictly newer recordings for the same identity (a
-    // rolled-back recording could reintroduce a withdrawn computation).
-    auto existing = Recording::ParseSigned(it->second, key_);
-    if (existing.ok() &&
-        existing->header.record_nonce >= rec.header.record_nonce) {
+    // rolled-back recording could reintroduce a withdrawn computation). A
+    // stored entry that no longer verifies refuses the install too: its
+    // nonce is unknown, and treating it as absent would let any nonce in.
+    // Remove() is the explicit way to replace it.
+    GRT_ASSIGN_OR_RETURN(Recording existing,
+                         Recording::ParseSigned(it->second, key_));
+    if (existing.header.record_nonce >= rec.header.record_nonce) {
       return FailedPrecondition(
           "an equal-or-newer recording is already installed");
     }

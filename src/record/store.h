@@ -28,7 +28,9 @@ class RecordingStore {
 
   // Installs a signed recording (e.g. fresh from a record session).
   // Verifies before accepting; replaces an existing entry for the same
-  // (workload, SKU) only if the nonce is newer.
+  // (workload, SKU) only if the nonce is newer. An existing entry that fails
+  // verification refuses the install (its nonce cannot be trusted); Remove
+  // it first to replace it.
   Status Install(const Bytes& signed_recording);
 
   // Loads and re-verifies a recording for this workload + device SKU.

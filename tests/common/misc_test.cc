@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "src/common/clock.h"
 #include "src/common/hash.h"
@@ -45,6 +46,54 @@ TEST(Hash, Crc32KnownVectors) {
 
 TEST(Hash, Crc32Discriminates) {
   EXPECT_NE(Crc32("abc", 3), Crc32("abd", 3));
+}
+
+// One byte through the reflected polynomial a bit at a time: the oracle the
+// table-driven Crc32 must match. The register is kept uninverted, so the
+// CRC of the bytes so far is ~reg.
+uint32_t CrcBytewiseStep(uint32_t reg, uint8_t byte) {
+  reg ^= byte;
+  for (int k = 0; k < 8; ++k) {
+    reg = (reg & 1) ? (0xEDB88320u ^ (reg >> 1)) : (reg >> 1);
+  }
+  return reg;
+}
+
+std::vector<uint8_t> RandomBuffer(uint64_t seed, size_t n) {
+  Rng rng(seed);
+  std::vector<uint8_t> b(n);
+  for (auto& x : b) {
+    x = static_cast<uint8_t>(rng.NextU32());
+  }
+  return b;
+}
+
+TEST(Hash, Crc32MatchesBytewiseOracle) {
+  constexpr size_t kMaxLen = 4200;
+  const std::vector<uint8_t> buf = RandomBuffer(0xC4C32, kMaxLen + 8);
+  for (size_t off = 0; off < 8; ++off) {
+    uint32_t reg = 0xFFFFFFFFu;
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      ASSERT_EQ(Crc32(buf.data() + off, len), ~reg)
+          << "offset " << off << ", length " << len;
+      if (len < kMaxLen) {
+        reg = CrcBytewiseStep(reg, buf[off + len]);
+      }
+    }
+  }
+}
+
+TEST(Hash, Crc32ChainsThroughItsSeed) {
+  const std::vector<uint8_t> buf = RandomBuffer(0xC4A1, 4200);
+  Rng rng(0x5EED);
+  for (int trial = 0; trial < 400; ++trial) {
+    const size_t start = rng.NextBelow(8);
+    const size_t n = rng.NextBelow(buf.size() - start + 1);
+    const size_t na = rng.NextBelow(n + 1);
+    const uint8_t* a = buf.data() + start;
+    ASSERT_EQ(Crc32(a + na, n - na, Crc32(a, na)), Crc32(a, n))
+        << "start " << start << ", split " << na << " of " << n;
+  }
 }
 
 TEST(Hash, FnvDeterministicAndSensitive) {

@@ -52,6 +52,38 @@ TEST(RecordingStore, RollbackProtection) {
   EXPECT_EQ(store.size(), 1u);
 }
 
+// Stored bytes cross the TEE boundary, so a sealed image can carry an entry
+// that no longer verifies. Its nonce is unknown: an install over it must
+// fail closed instead of treating the slot as empty, and Remove is the way
+// to clear it.
+TEST(RecordingStore, CorruptStoredEntryRefusesInstall) {
+  Bytes key(32, 5);
+  Bytes not_a_recording(64, 0xEE);
+  ByteWriter body;
+  body.PutString("grt-store-v1");
+  body.PutU32(1);
+  body.PutString("mnist|" +
+                 std::to_string(static_cast<uint32_t>(SkuId::kMaliG71Mp8)));
+  body.PutBytes(not_a_recording);
+  Bytes body_bytes = body.Take();
+  Sha256Digest mac = HmacSha256(key, body_bytes);
+  ByteWriter sealed;
+  sealed.PutBytes(body_bytes);
+  sealed.PutRaw(mac.data(), mac.size());
+
+  auto store = RecordingStore::Unseal(sealed.Take(), key);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ASSERT_EQ(store->size(), 1u);
+  EXPECT_FALSE(store->Contains("mnist", SkuId::kMaliG71Mp8));
+  EXPECT_FALSE(store->Install(MakeSigned("mnist", 1, key)).ok());
+  EXPECT_FALSE(store->Load("mnist", SkuId::kMaliG71Mp8).ok());
+
+  ASSERT_TRUE(store->Remove("mnist", SkuId::kMaliG71Mp8).ok());
+  ASSERT_TRUE(store->Install(MakeSigned("mnist", 1, key)).ok());
+  EXPECT_EQ(store->Load("mnist", SkuId::kMaliG71Mp8)->header.record_nonce,
+            1u);
+}
+
 TEST(RecordingStore, RemoveAndMissingEntries) {
   Bytes key(32, 5);
   RecordingStore store(key);
